@@ -324,13 +324,12 @@ type churnBenchResult struct {
 // goroutine per switch, every update awaited through its ack future.
 // This is the shard-contention micro-benchmark substrate — no netsim, no
 // simulated delays, nothing but the RUM hot path and the scheduler.
-func runWallChurn(b *testing.B, nSwitches, updatesPerSwitch int, unsharded bool) churnBenchResult {
+func runWallChurn(b *testing.B, nSwitches, updatesPerSwitch int) churnBenchResult {
 	b.Helper()
 	clk := NewWallClock()
 	r, err := New(Config{
 		Clock:     clk,
 		Technique: TechBarriers,
-		Unsharded: unsharded,
 	}, NewTopology(nil))
 	if err != nil {
 		b.Fatal(err)
@@ -360,9 +359,7 @@ func runWallChurn(b *testing.B, nSwitches, updatesPerSwitch int, unsharded bool)
 	// Closed-loop churn: every switch's driver keeps a bounded window of
 	// updates in flight (like a batching controller with a send window),
 	// awaiting the oldest ack before issuing more. Sends are pipelined in
-	// small wire batches — exactly what a controller's TCP stream does —
-	// identically for both modes, so the measured difference is the RUM
-	// hot path, not driver overhead.
+	// small wire batches — exactly what a controller's TCP stream does.
 	const (
 		window    = 256
 		sendBatch = 16
@@ -447,42 +444,29 @@ func runWallChurn(b *testing.B, nSwitches, updatesPerSwitch int, unsharded bool)
 }
 
 // BenchmarkShardContention is the multi-switch churn micro-benchmark:
-// 32 switches × 300 updates driven concurrently, once over the sharded
-// hot path and once over the pre-sharding Unsharded baseline (one
-// RUM-wide mutex, unbatched sends). The recorded speedup is the
-// sharding refactor's acceptance metric (≥2x, enforced by
-// cmd/benchcheck).
+// 32 switches × 1000 updates driven concurrently over the sharded hot
+// path. cmd/benchcheck gates sharded_updates_per_sec against its
+// BENCH_baseline.json floor; the pre-sharding mode it used to be compared
+// with (one RUM-wide mutex, unbatched sends) last measured 172k updates/s
+// on the reference box and is recorded beside the floor as
+// unsharded_updates_per_sec_last_measured.
 func BenchmarkShardContention(b *testing.B) {
 	const (
 		nSwitches        = 32
 		updatesPerSwitch = 1000
 	)
-	run := func(b *testing.B, unsharded bool, prefix string) {
-		var res churnBenchResult
-		for i := 0; i < b.N; i++ {
-			res = runWallChurn(b, nSwitches, updatesPerSwitch, unsharded)
-		}
-		b.ReportMetric(res.updatesPerSec, "updates/s")
-		b.ReportMetric(float64(res.p99.Microseconds())/1000, "p99_ack_ms")
-		benchRecord("ShardContention", map[string]float64{
-			"switches":                  nSwitches,
-			"updates":                   nSwitches * updatesPerSwitch,
-			prefix + "_updates_per_sec": res.updatesPerSec,
-			prefix + "_p99_ack_ms":      float64(res.p99.Microseconds()) / 1000,
-		})
+	var res churnBenchResult
+	for i := 0; i < b.N; i++ {
+		res = runWallChurn(b, nSwitches, updatesPerSwitch)
 	}
-	b.Run("unsharded", func(b *testing.B) { run(b, true, "unsharded") })
-	b.Run("sharded", func(b *testing.B) { run(b, false, "sharded") })
-
-	benchOut.mu.Lock()
-	m := benchOut.m["ShardContention"]
-	sharded, unsharded := m["sharded_updates_per_sec"], m["unsharded_updates_per_sec"]
-	benchOut.mu.Unlock()
-	if unsharded > 0 {
-		speedup := sharded / unsharded
-		b.ReportMetric(speedup, "x_speedup")
-		benchRecord("ShardContention", map[string]float64{"speedup": speedup})
-	}
+	b.ReportMetric(res.updatesPerSec, "updates/s")
+	b.ReportMetric(float64(res.p99.Microseconds())/1000, "p99_ack_ms")
+	benchRecord("ShardContention", map[string]float64{
+		"switches":                nSwitches,
+		"updates":                 nSwitches * updatesPerSwitch,
+		"sharded_updates_per_sec": res.updatesPerSec,
+		"sharded_p99_ack_ms":      float64(res.p99.Microseconds()) / 1000,
+	})
 }
 
 // BenchmarkFatTreeChurn runs the datacenter-scale workload: a k=8
@@ -671,7 +655,8 @@ func BenchmarkPlannerFatTree(b *testing.B) {
 // sides — the production deployment shape, where every conn encodes
 // frames and the whole track→flush→reply→confirm→ack pipeline runs on
 // pooled structs. The returned round function pushes one batch of
-// batchSize actionless FlowMods and blocks until their RUM acks arrive.
+// batchSize FlowMods (an output action each, so the zero-alloc gate
+// covers action decode) and blocks until their RUM acks arrive.
 func ackPathBed(b *testing.B, batchSize int) (round func(), close func()) {
 	b.Helper()
 	clk := NewWallClock()
@@ -710,7 +695,8 @@ func ackPathBed(b *testing.B, batchSize int) (round func(), close func()) {
 	batch := make([]Message, 0, batchSize)
 	for i := 0; i < batchSize; i++ {
 		fm := &FlowMod{Command: of.FCAdd, Priority: 100, Match: of.MatchAll(),
-			BufferID: of.BufferNone, OutPort: of.PortNone}
+			BufferID: of.BufferNone, OutPort: of.PortNone,
+			Actions: []of.Action{of.ActionOutput{Port: uint16(1 + i%4)}}}
 		fm.SetXID(uint32(i + 1))
 		batch = append(batch, fm)
 	}
@@ -948,7 +934,8 @@ func measureWireAllocs(b *testing.B) float64 {
 	batch := make([]Message, 0, batchSize+1)
 	for i := 0; i < batchSize; i++ {
 		fm := &FlowMod{Command: of.FCAdd, Priority: 100, Match: of.MatchAll(),
-			BufferID: of.BufferNone, OutPort: of.PortNone}
+			BufferID: of.BufferNone, OutPort: of.PortNone,
+			Actions: []of.Action{of.ActionOutput{Port: uint16(1 + i%4)}}}
 		fm.SetXID(uint32(i + 1))
 		batch = append(batch, fm)
 	}

@@ -21,10 +21,16 @@
 //   - anything else (switches, updates, timers — workload sizes): fail
 //     below baseline (the workload must not silently shrink).
 //
-// Eleven acceptance gates are separate and absolute, regardless of what the
-// baseline says: the ShardContention speedup must stay ≥ -min-speedup,
-// the WireThroughput coalescing speedup must stay ≥ -min-wire-speedup
-// (the coalescing writer must beat the unbuffered path by ≥30%), the
+// The ShardContention gate is one of these baseline comparisons: the
+// pre-sharding mode it was once measured against is gone, so
+// sharded_updates_per_sec is held to its baseline floor, and the file
+// records the last measured unsharded rate (172k updates/s) under
+// "constants" — outside "benchmarks", so nothing is compared with it.
+//
+// Ten acceptance gates are separate and absolute, regardless of what the
+// baseline says: the WireThroughput coalescing speedup must stay ≥
+// -min-wire-speedup (the coalescing writer must beat the unbuffered path
+// by ≥30%), the
 // AckPath steady-state allocations per confirmed update must stay ≤
 // -max-ack-allocs (zero: the ack hot path must not regain allocations),
 // the FatTreeChurn simulated ack-latency p99 must stay ≤
@@ -60,7 +66,7 @@
 // the measured ratio informationally.
 //
 // Usage: go run ./cmd/benchcheck [-baseline BENCH_baseline.json]
-// [-results BENCH_results.json] [-tolerance 0.20] [-min-speedup 2.0]
+// [-results BENCH_results.json] [-tolerance 0.20]
 // [-min-wire-speedup 1.3] [-max-ack-allocs 0] [-max-fattree-p99-ms 100]
 // [-max-faultwrap-p99-ratio 1.05] [-max-planner-verify-ratio 0.20]
 // [-min-cluster-speedup 2.0] [-min-cluster-cpus 8]
@@ -101,7 +107,6 @@ func load(path string) (*benchFile, error) {
 // where zero is meaningful) disables the corresponding gate.
 type gateOpts struct {
 	tolerance         float64
-	minSpeedup        float64
 	minWireSpeedup    float64
 	maxAckAllocs      float64
 	maxFatTreeP99     float64
@@ -201,9 +206,6 @@ func check(baseline, results *benchFile, opts gateOpts, w io.Writer) int {
 		}
 	}
 
-	if opts.minSpeedup > 0 {
-		floorGate("ShardContention", "speedup", opts.minSpeedup, "sharded hot path regressed")
-	}
 	if opts.minWireSpeedup > 0 {
 		floorGate("WireThroughput", "coalesce_speedup", opts.minWireSpeedup, "coalescing writer regressed")
 	}
@@ -395,8 +397,6 @@ func main() {
 	resultsPath := flag.String("results", "BENCH_results.json", "fresh benchmark results file")
 	opts := gateOpts{}
 	flag.Float64Var(&opts.tolerance, "tolerance", 0.20, "allowed relative regression per metric")
-	flag.Float64Var(&opts.minSpeedup, "min-speedup", 2.0,
-		"absolute floor for the ShardContention sharded/unsharded speedup (0 disables)")
 	flag.Float64Var(&opts.minWireSpeedup, "min-wire-speedup", 1.3,
 		"absolute floor for the WireThroughput coalesced/unbuffered speedup (0 disables)")
 	flag.Float64Var(&opts.maxAckAllocs, "max-ack-allocs", 0,

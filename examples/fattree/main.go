@@ -4,10 +4,9 @@
 // acknowledgment strategy mixed per layer: sequential probing on the
 // edge, general probing on the aggregation layer, the timeout technique
 // in the core. The run reports the hot-path scale metrics — updates/sec
-// through the proxy and the p50/p99 ack latency — and can replay the
-// same storm over the pre-sharding compatibility path for comparison.
+// through the proxy and the p50/p99 ack latency.
 //
-// Run: go run ./examples/fattree [-k 8] [-updates 25] [-compare]
+// Run: go run ./examples/fattree [-k 8] [-updates 25]
 package main
 
 import (
@@ -21,25 +20,17 @@ import (
 func main() {
 	k := flag.Int("k", 8, "fat-tree arity (even)")
 	updates := flag.Int("updates", 25, "rule updates per switch")
-	compare := flag.Bool("compare", false,
-		"also run the pre-sharding (unsharded) hot path and compare switch load")
 	flag.Parse()
 
-	run := func(unsharded bool) *experiments.FatTreeChurnResult {
-		res, err := experiments.FatTreeChurn(experiments.FatTreeChurnOpts{
-			K:                *k,
-			UpdatesPerSwitch: *updates,
-			Mixed:            true,
-			Unsharded:        unsharded,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fattree:", err)
-			os.Exit(1)
-		}
-		return res
+	res, err := experiments.FatTreeChurn(experiments.FatTreeChurnOpts{
+		K:                *k,
+		UpdatesPerSwitch: *updates,
+		Mixed:            true,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fattree:", err)
+		os.Exit(1)
 	}
-
-	res := run(false)
 	fmt.Printf("k=%d fat-tree: %d switches, %d updates (mixed strategies)\n",
 		res.K, res.Switches, res.Updates)
 	fmt.Printf("  completed %d  failed %d  unacked %d\n", res.Completed, res.Failed, res.Unacked)
@@ -48,19 +39,4 @@ func main() {
 	fmt.Printf("  acks %d  probes %d  fallbacks %d  switch barriers %d\n",
 		res.Acks, res.Probes, res.Fallbacks, res.SwitchBarriers)
 
-	if *compare {
-		// The deterministic cross-mode comparison is switch load: the
-		// sharded core coalesces its barriers, so the same churn costs the
-		// fabric's control planes far fewer operations. (Wall-clock
-		// throughput is compared by BenchmarkShardContention, which runs
-		// genuinely concurrent drivers; this simulation is single-threaded
-		// by design.)
-		base := run(true)
-		fmt.Printf("unsharded baseline: %d switch barriers for the same %d updates\n",
-			base.SwitchBarriers, base.Updates)
-		if res.SwitchBarriers < base.SwitchBarriers {
-			fmt.Printf("  sharded core: %d (%.1f%% of baseline — coalesced)\n",
-				res.SwitchBarriers, 100*float64(res.SwitchBarriers)/float64(base.SwitchBarriers))
-		}
-	}
 }

@@ -17,12 +17,17 @@ type confirmListener func(u *Update, outcome Outcome)
 // the workload's high-water mark and stays there for the session.
 const ackRingMinCap = 256
 
-// confirmScratch recycles the ready-lists confirmUpTo drains batches
-// into, so a coalesced barrier reply resolving hundreds of updates
+// emitScratch is the working set of one confirmation batch: the updates
+// being resolved and the wire acks built for them. It cycles through a
+// pool, so a coalesced barrier reply resolving hundreds of updates
 // allocates nothing at steady state.
-var confirmScratch = sync.Pool{New: func() any {
-	s := make([]*Update, 0, 64)
-	return &s
+type emitScratch struct {
+	ready []*Update
+	acks  []of.Message
+}
+
+var emitPool = sync.Pool{New: func() any {
+	return &emitScratch{ready: make([]*Update, 0, 64), acks: make([]of.Message, 0, 64)}
 }}
 
 // ackLayer is the acknowledgment layer (§2): it tracks every FlowMod the
@@ -63,13 +68,17 @@ type ackLayer struct {
 	wireHead  int
 	listeners []confirmListener // copy-on-write; snapshots are immutable
 
+	// closed latches at detach: a FlowMod that reaches the layer afterwards
+	// (the controller conn's reader may be in the middle of a burst) fails
+	// at once with closeCause instead of being tracked on a dead session.
+	closed     bool
+	closeCause error
+
 	// Aggregation fan-in (Config.Aggregate; see aggfanin.go): staged
-	// logical updates awaiting the next flush, the pending-install index
-	// Covered anchors fold into, and the detach latch that fails late
-	// stagers instead of issuing physical ops on a dead session.
+	// logical updates awaiting the next flush and the pending-install
+	// index Covered anchors fold into.
 	aggStage   []*Update
 	aggPending map[aggregate.PhysRef]*Update
-	aggClosed  bool
 
 	// Intent replication (see journal.go). journalOn is latched at attach
 	// from the RUM-level sink, so sessions without replication pay one
@@ -117,31 +126,33 @@ func (a *ackLayer) quiescentAt(upTo uint64) bool {
 
 // FromController implements proxy.Layer. The ack layer is the
 // switch-nearest layer, so instead of writing to the connection directly
-// it hands every switch-bound message to the session's shard, whose
-// outbox batches the injection (and coalesces RUM barriers) off the
-// dispatch path.
+// it appends every switch-bound message to the session's shard outbox.
+// Nothing is flushed here: the messages of one controller burst leave
+// together when EndControllerBurst closes the burst.
 func (a *ackLayer) FromController(ctx *proxy.Context, m of.Message) {
 	a.captureCtx(ctx)
+	s := a.sess
 	mm, ok := m.(*of.FlowMod)
 	if !ok {
 		// Any non-FlowMod must not overtake staged logical FlowMods on
 		// the wire (or observe a stale issued watermark): flush first.
-		if a.sess.agg != nil {
+		if s.agg != nil {
 			a.flushAggStage()
 		}
-		a.sess.sendToSwitch(m)
+		s.shard.enqueueBurst(s, m, false)
 		return
 	}
-	u := acquireUpdate()
-	u.sw = a.sess.name
+	u := acquireUpdate(s.liveStripe)
+	u.sw = s.name
 	u.xid = mm.GetXID()
 	u.fm = mm
-	u.issuedAt = ctx.Clock().Now()
+	u.issuedAt = s.burstNow()
+	tracked := !IsRUMXID(u.xid)
 	// On sessions whose conns both encode frames, the decoded FlowMod is
 	// exclusively RUM's: the wire watermark below returns it to the codec
 	// pool once it has been serialized toward the switch and the update
 	// has fully resolved.
-	wire := a.sess.recycleFM && !IsRUMXID(u.xid)
+	wire := s.recycleFM && tracked
 	u.ownFM = wire
 	// Aggregated sessions stage the logical FlowMod instead of forwarding
 	// it: the flush issues the compressed physical delta and the logical
@@ -151,7 +162,7 @@ func (a *ackLayer) FromController(ctx *proxy.Context, m of.Message) {
 	// last reference drops (the aggregate table copies what it keeps).
 	// Overload admission is skipped: outbox pressure is produced by the
 	// (fewer, merged) physical installs, not the logical stream.
-	if a.sess.agg != nil && !IsRUMXID(u.xid) {
+	if s.agg != nil && tracked {
 		a.stageAggregate(u)
 		return
 	}
@@ -160,11 +171,23 @@ func (a *ackLayer) FromController(ctx *proxy.Context, m of.Message) {
 	// across a wait (noteFlushed takes it from the flush path). A refusal
 	// sheds the update — tracked, resolved as failed with ErrOverloaded,
 	// never enqueued.
-	if a.sess.rum.overloadOn && !IsRUMXID(u.xid) && !a.sess.shard.admitUpdate() {
-		a.shed(u)
+	admitted := s.rum.overloadOn && tracked
+	if admitted && !s.shard.admitUpdate() {
+		s.rum.sheds.Add(1)
+		a.refuse(u, ErrOverloaded)
 		return
 	}
 	a.mu.Lock()
+	if a.closed {
+		cause := a.closeCause
+		a.mu.Unlock()
+		if admitted {
+			s.shard.unreserve()
+		}
+		a.confirmCause(u, OutcomeFailed, cause)
+		u.Release() // the tracking frame's reference
+		return
+	}
 	a.nextSeq++
 	u.seq = a.nextSeq
 	a.issued.Store(a.nextSeq)
@@ -176,38 +199,46 @@ func (a *ackLayer) FromController(ctx *proxy.Context, m of.Message) {
 		u.Retain() // wire reference, dropped by noteFlushed after encoding
 		a.wireQ = append(a.wireQ, u)
 	}
-	// The outbox enqueue stays inside the critical section: noteFlushed
+	// The outbox append stays inside the critical section: noteFlushed
 	// pairs wire-queue entries with encoded FlowMods purely by FIFO
 	// position, so the two queues must observe the same order even when
 	// dispatch paths race (buffer-mode barrier release runs concurrently
 	// with the controller reader). Lock order is ackLayer.mu → shard.mu,
-	// never reversed (noteFlushed runs after the flush drops the shard
-	// lock), and enqueue never blocks (admission already happened above).
-	if a.sess.rum.overloadOn && !IsRUMXID(u.xid) {
-		a.sess.sendTrackedToSwitch(m)
-	} else {
-		a.sess.sendToSwitch(m)
-	}
+	// never reversed (a drain calls noteFlushed after dropping the shard
+	// lock, and nothing drains while holding ackLayer.mu), and the append
+	// never blocks (admission already happened above).
+	s.shard.enqueueBurst(s, m, admitted)
 	a.mu.Unlock()
-	a.sess.strat.OnFlowMod(u)
+	s.strat.OnFlowMod(u)
+	s.noteFlowMod()
 	u.Release() // the tracking frame's reference
 }
 
-// shed resolves a tracked-but-never-sent update as failed with
-// ErrOverloaded through the normal emission machinery — the future, the
-// AckEvent stream, and strategy listeners all observe it — without the
-// FlowMod ever touching the outbox. The switch's FIB is untouched, so
-// the caller may back off and re-issue.
-func (a *ackLayer) shed(u *Update) {
+// EndControllerBurst implements proxy.BurstLayer: the goroutine that
+// delivered a burst of controller messages finishes it.
+func (a *ackLayer) EndControllerBurst(*proxy.Context) { a.sess.endBurst() }
+
+// refuse resolves a tracked-but-never-sent update as failed with the given
+// cause through the normal emission machinery — the future, the AckEvent
+// stream, and strategy listeners all observe it — without the FlowMod
+// ever touching the outbox. The switch's FIB is untouched, so the caller
+// may back off and re-issue.
+func (a *ackLayer) refuse(u *Update, cause error) {
 	a.mu.Lock()
 	a.nextSeq++
 	u.seq = a.nextSeq
 	a.issued.Store(a.nextSeq)
 	a.ringPutLocked(u)
 	a.mu.Unlock()
-	a.sess.rum.sheds.Add(1)
-	a.confirmCause(u, OutcomeFailed, ErrOverloaded)
+	a.confirmCause(u, OutcomeFailed, cause)
 	u.Release() // the tracking frame's reference
+}
+
+// close latches the layer shut at detach; see the closed field.
+func (a *ackLayer) close(cause error) {
+	a.mu.Lock()
+	a.closed, a.closeCause = true, cause
+	a.mu.Unlock()
 }
 
 // ringPutLocked places u at its seq slot, growing (and rehashing) the
@@ -377,7 +408,7 @@ func (a *ackLayer) takeConfirmed(u *Update, cause error) (ctx *proxy.Context, li
 	u.failErr = cause
 	a.aggResolvedLocked(u)
 	u.Retain()        // emission reference
-	a.emitting.Add(1) // paired with the Add(-1) in confirm
+	a.emitting.Add(1) // dropped by finishBatch
 	if u.seq == a.head.Load() {
 		a.reapLocked()
 	}
@@ -394,24 +425,16 @@ func (a *ackLayer) confirm(u *Update, outcome Outcome) {
 }
 
 // confirmCause is confirm with a typed failure cause attached to the
-// resolution (detach, switch errors); AckResult.Err carries it.
+// resolution (detach, switch errors); AckResult.Err carries it. It is a
+// confirmation batch of one.
 func (a *ackLayer) confirmCause(u *Update, outcome Outcome, cause error) {
 	ctx, listeners, ok := a.takeConfirmed(u, cause)
 	if !ok {
 		return
 	}
-	refined := a.emitResolution(ctx, u, outcome)
-	// Drop the emission marker after the ack is serialized but BEFORE
-	// the listeners run: a barrier queued while the marker was up is
-	// then guaranteed a still-pending listener call to drain it.
-	a.emitting.Add(-1)
-	for _, fn := range listeners {
-		fn(u, refined)
-	}
-	if a.journalOn {
-		a.journalDeliver()
-	}
-	u.Release()
+	sc := emitPool.Get().(*emitScratch)
+	sc.ready = append(sc.ready[:0], u) // the emission reference rides along
+	a.finishBatch(ctx, listeners, sc, outcome)
 }
 
 // refineOutcome maps a prefix-confirmed deletion to "removed":
@@ -424,71 +447,138 @@ func refineOutcome(u *Update, outcome Outcome) Outcome {
 	return outcome
 }
 
-// emitResolution performs the lock-free tail of a confirmation for an
-// update already marked done, returning the refined outcome; the caller
-// holds a reference to u and owns notifying the confirmation listeners.
-func (a *ackLayer) emitResolution(ctx *proxy.Context, u *Update, outcome Outcome) Outcome {
-	outcome = refineOutcome(u, outcome)
-	if a.journalOn {
-		a.journalResolve(u)
+// finishBatch emits the resolutions of sc.ready — updates already marked
+// done under one raised emitting marker, each carrying a reference that is
+// dropped here — then notifies the confirmation listeners.
+func (a *ackLayer) finishBatch(ctx *proxy.Context, listeners []confirmListener, sc *emitScratch, outcome Outcome) {
+	ready := sc.ready
+	if len(ready) > 0 {
+		// Every ack of the batch is emitted before any listener runs: the
+		// confirmed-prefix watermark already covers the whole batch, so a
+		// listener poked mid-batch (the barrier layer) would release a
+		// barrier reply ahead of the remaining — already confirmed, not
+		// yet emitted — acks, reordering the controller's view.
+		a.emitBatch(ctx, sc, outcome)
+		// Drop the emission marker after the acks are serialized but
+		// BEFORE the listeners run: a barrier queued while the marker was
+		// up is then guaranteed a still-pending listener call to drain it.
+		a.emitting.Add(-1)
 	}
-	r := a.sess.rum
-	code, hasWire := outcome.wireCode()
-	// Physical aggregation ops carry RUM-internal xids the controller
-	// never issued; their resolutions fan in to the covered logical
-	// updates below instead of acking on the wire.
-	if hasWire && r.cfg.RUMAware && ctx != nil && !IsRUMXID(u.xid) {
-		ack := of.AcquireError()
-		of.FillRUMAck(ack, u.xid, code)
-		ack.SetXID(r.newXID())
-		ctx.ToController(ack)
-		if a.sess.recycleAcks {
-			// The controller conn serialized the ack during Send (the
-			// barrier layer passes RUM acks straight through), so RUM is
-			// its sole owner again.
-			of.Release(ack)
+	if len(listeners) > 0 {
+		for _, u := range ready {
+			refined := refineOutcome(u, outcome)
+			for _, fn := range listeners {
+				fn(u, refined)
+			}
 		}
-		r.noteAck()
 	}
-	now := a.sess.clock().Now()
-	res := AckResult{
-		Switch:      u.sw,
-		XID:         u.xid,
-		Outcome:     outcome,
-		Code:        code,
-		IssuedAt:    u.issuedAt,
-		ConfirmedAt: now,
-		Latency:     now - u.issuedAt,
-		Err:         u.failErr,
+	if a.journalOn && len(ready) > 0 {
+		a.journalDeliver()
 	}
-	r.resolveWatch(res)
-	// Only box the event when someone is listening: the interface
-	// conversion heap-allocates, and this is the per-update hot path.
-	if subs := r.subsSnapshot(); subs != nil {
-		fanout(subs, AckEvent{
-			Switch:   u.sw,
-			XID:      u.xid,
-			Outcome:  outcome,
-			Code:     code,
-			IssuedAt: u.issuedAt,
-			At:       now,
-			Latency:  res.Latency,
-			Err:      u.failErr,
-		})
+	for i, u := range ready {
+		u.Release()
+		ready[i] = nil
 	}
-	// Let the strategy drop per-update state for resolutions it did not
-	// initiate (switch errors, detach) — a failed update's probe must not
-	// clog the probe pump forever.
-	if ro, ok := a.sess.strat.(ResolutionObserver); ok {
-		ro.OnUpdateResolved(u, outcome)
+	sc.ready = ready[:0]
+	emitPool.Put(sc)
+}
+
+// emitBatch performs the lock-free tail of a confirmation for a batch of
+// updates already marked done. The process-wide state is touched once per
+// batch, not once per update: one clock read, one subscriber snapshot, one
+// xid block for the wire acks, one ack-counter update — and on a
+// controller conn that encodes frames the acks ride up the layer chain
+// and onto the conn as one batch. A conn that passes message structs by
+// pointer keeps what it is given, so there each ack is sent on its own,
+// at its update's position in the batch.
+func (a *ackLayer) emitBatch(ctx *proxy.Context, sc *emitScratch, outcome Outcome) {
+	s := a.sess
+	r := s.rum
+	now := s.clock().Now()
+	subs := r.subsSnapshot()
+	wire := r.cfg.RUMAware && ctx != nil
+	var ackXID uint32
+	if wire {
+		// One xid per update is at most what the acks below consume;
+		// unused ids of the block are simply skipped.
+		ackXID = r.newXIDs(uint32(len(sc.ready)))
 	}
-	// A physical op's resolution fans in to the logical futures it
-	// covers (Config.Aggregate): confirm the fully-anchored ones, fail
-	// all of them on a typed physical failure.
-	if u.covered != nil {
-		a.fanInCovered(u, outcome)
+	acks := sc.acks[:0]
+	sent := 0
+	for _, u := range sc.ready {
+		refined := refineOutcome(u, outcome)
+		if a.journalOn {
+			a.journalResolve(u)
+		}
+		code, hasWire := refined.wireCode()
+		// Physical aggregation ops carry RUM-internal xids the controller
+		// never issued; their resolutions fan in to the covered logical
+		// updates below instead of acking on the wire.
+		if wire && hasWire && !IsRUMXID(u.xid) {
+			ack := of.AcquireError()
+			of.FillRUMAck(ack, u.xid, code)
+			ack.SetXID(ackXID)
+			ackXID++
+			sent++
+			if s.recycleAcks {
+				acks = append(acks, ack)
+			} else {
+				ctx.ToController(ack)
+			}
+		}
+		if s.shard.nWatch.Load() != 0 {
+			s.shard.resolveWatch(AckResult{
+				Switch:      u.sw,
+				XID:         u.xid,
+				Outcome:     refined,
+				Code:        code,
+				IssuedAt:    u.issuedAt,
+				ConfirmedAt: now,
+				Latency:     now - u.issuedAt,
+				Err:         u.failErr,
+			})
+		}
+		// Only box the event when someone is listening: the interface
+		// conversion heap-allocates, and this is the per-update hot path.
+		if subs != nil {
+			fanout(subs, AckEvent{
+				Switch:   u.sw,
+				XID:      u.xid,
+				Outcome:  refined,
+				Code:     code,
+				IssuedAt: u.issuedAt,
+				At:       now,
+				Latency:  now - u.issuedAt,
+				Err:      u.failErr,
+			})
+		}
+		// Let the strategy drop per-update state for resolutions it did not
+		// initiate (switch errors, detach) — a failed update's probe must not
+		// clog the probe pump forever.
+		if s.resolved != nil {
+			s.resolved.OnUpdateResolved(u, refined)
+		}
+		// A physical op's resolution fans in to the logical futures it
+		// covers (Config.Aggregate): confirm the fully-anchored ones, fail
+		// all of them on a typed physical failure.
+		if u.covered != nil {
+			a.fanInCovered(u, refined)
+		}
 	}
-	return outcome
+	if len(acks) > 0 {
+		// The barrier layer passes RUM acks straight through and the
+		// controller conn serializes them during the send, so RUM is their
+		// sole owner again afterwards.
+		ctx.ToControllerBatch(acks)
+		for i, m := range acks {
+			of.Release(m)
+			acks[i] = nil
+		}
+	}
+	sc.acks = acks[:0]
+	if sent > 0 {
+		r.acksSent.Add(uint64(sent))
+	}
 }
 
 // confirmUpTo confirms every pending mod with seq <= seq (order-preserving
@@ -497,8 +587,8 @@ func (a *ackLayer) emitResolution(ctx *proxy.Context, u *Update, outcome Outcome
 // barriers one reply routinely resolves a large batch, and the cost is
 // O(batch), independent of how many further updates are pending.
 func (a *ackLayer) confirmUpTo(seq uint64, outcome Outcome) {
-	sp := confirmScratch.Get().(*[]*Update)
-	ready := (*sp)[:0]
+	sc := emitPool.Get().(*emitScratch)
+	ready := sc.ready[:0]
 	a.mu.Lock()
 	if len(a.ring) > 0 {
 		if seq > a.nextSeq {
@@ -520,44 +610,15 @@ func (a *ackLayer) confirmUpTo(seq uint64, outcome Outcome) {
 			ready = append(ready, u) // slot reference rides along
 		}
 		if len(ready) > 0 {
-			a.emitting.Add(1) // one batch; dropped after the listener loop
+			a.emitting.Add(1) // one batch; dropped by finishBatch
 		}
 		a.head.Store(h)
 		a.reapLocked() // collect trailing out-of-order holes
 	}
 	listeners := a.listeners
 	a.mu.Unlock()
-	ctx := a.ctx.Load()
-	// Emit every ack in the batch before notifying listeners: the
-	// confirmed-prefix watermark already covers the whole batch, so a
-	// listener poked mid-batch (the barrier layer) would release a
-	// barrier reply ahead of the remaining — already confirmed, not yet
-	// emitted — acks, reordering the controller's view.
-	for _, u := range ready {
-		a.emitResolution(ctx, u, outcome)
-	}
-	if len(ready) > 0 {
-		// As in confirm: acks are out, listeners still pending — any
-		// barrier that queued against this batch's marker drains below.
-		a.emitting.Add(-1)
-	}
-	if len(listeners) > 0 {
-		for _, u := range ready {
-			refined := refineOutcome(u, outcome)
-			for _, fn := range listeners {
-				fn(u, refined)
-			}
-		}
-	}
-	if a.journalOn && len(ready) > 0 {
-		a.journalDeliver()
-	}
-	for i, u := range ready {
-		u.Release()
-		ready[i] = nil
-	}
-	*sp = ready[:0]
-	confirmScratch.Put(sp)
+	sc.ready = ready
+	a.finishBatch(a.ctx.Load(), listeners, sc, outcome)
 }
 
 // errorBlamesFlowMod reports whether a switch error can be attributed to

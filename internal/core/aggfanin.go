@@ -23,11 +23,11 @@ import (
 // ring, so barrier intervals and work-proportional timeout bounds
 // (Config.TimeoutRate) automatically count physical installs.
 //
-// Staging coalesces with clock.After(0): under a simulated clock the
-// callback runs behind every already-queued same-instant event, so one
-// dispatch burst lands in one aggregation batch; under a wall clock the
-// flush fires almost immediately and batches degrade toward
-// per-message — smaller merges, identical semantics. Any non-FlowMod
+// Staging coalesces one dispatch burst per aggregation batch: under a
+// simulated clock the flush is a clock.After(0) callback that runs behind
+// every already-queued same-instant event; under a wall clock the
+// goroutine that delivered a controller burst flushes the stage when the
+// burst ends (session.endBurst). Any non-FlowMod
 // controller message (and any barrier absorb) flushes the stage first so
 // wire order and barrier interval boundaries never observe a staged,
 // unissued FlowMod.
@@ -68,28 +68,29 @@ func releaseCovered(pu *Update) {
 // aggregation flush; the stage holds the update's tracking reference.
 func (a *ackLayer) stageAggregate(u *Update) {
 	a.mu.Lock()
-	if a.aggClosed {
+	if a.closed {
+		cause := a.closeCause
 		a.mu.Unlock()
-		a.confirmCause(u, OutcomeFailed, ErrChannelLost)
+		a.confirmCause(u, OutcomeFailed, cause)
 		u.Release()
 		return
 	}
 	a.aggStage = append(a.aggStage, u)
 	first := len(a.aggStage) == 1
 	a.mu.Unlock()
-	if first {
+	if first && a.sess.rum.scheduled {
 		a.sess.clock().After(0, a.flushAggStage)
 	}
 }
 
 // dropAggStage fails every staged-but-unflushed logical update with the
-// detach cause and refuses further staging: the physical ops that would
-// have carried them will never be issued.
-func (a *ackLayer) dropAggStage(cause error) {
+// detach cause (the layer is closed, so nothing is staged afterwards): the
+// physical ops that would have carried them will never be issued.
+func (a *ackLayer) dropAggStage() {
 	a.mu.Lock()
 	staged := a.aggStage
 	a.aggStage = nil
-	a.aggClosed = true
+	cause := a.closeCause
 	a.mu.Unlock()
 	for _, u := range staged {
 		a.confirmCause(u, OutcomeFailed, cause)
@@ -107,10 +108,11 @@ func (a *ackLayer) flushAggStage() {
 	a.mu.Lock()
 	staged := a.aggStage
 	a.aggStage = nil
-	if len(staged) == 0 || a.aggClosed {
+	if len(staged) == 0 || a.closed {
+		cause := a.closeCause
 		a.mu.Unlock()
 		for _, u := range staged {
-			a.confirmCause(u, OutcomeFailed, ErrChannelLost)
+			a.confirmCause(u, OutcomeFailed, cause)
 			u.Release()
 		}
 		return
@@ -124,7 +126,7 @@ func (a *ackLayer) flushAggStage() {
 	phys := make([]*Update, len(delta.Ops))
 	for i := range delta.Ops {
 		op := &delta.Ops[i]
-		pu := acquireUpdate()
+		pu := acquireUpdate(a.sess.liveStripe)
 		pu.sw = a.sess.name
 		pu.xid = a.sess.rum.newXID()
 		op.FM.SetXID(pu.xid)
@@ -174,14 +176,16 @@ func (a *ackLayer) flushAggStage() {
 		u.Release() // the stage's reference; the anchors hold their own
 	}
 	// Physical FlowMods enter the outbox inside the critical section for
-	// the same reason FromController's enqueue does: FIFO agreement with
-	// any concurrent dispatch path.
+	// the same reason FromController's append does: FIFO agreement with
+	// any concurrent dispatch path. Whoever flushed the stage is inside a
+	// dispatch burst whose end drains them.
 	for i := range delta.Ops {
-		a.sess.sendToSwitch(delta.Ops[i].FM)
+		a.sess.shard.enqueueBurst(a.sess, delta.Ops[i].FM, false)
 	}
 	a.mu.Unlock()
 	for _, pu := range phys {
 		a.sess.strat.OnFlowMod(pu)
+		a.sess.noteFlowMod()
 		pu.Release() // the tracking frame's reference
 	}
 	for _, u := range settled {

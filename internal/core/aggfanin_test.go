@@ -438,7 +438,7 @@ func TestAggDetachMidAggregationNoLeak(t *testing.T) {
 		Actions: []of.Action{of.ActionOutput{Port: 3}}}
 	lateFM.SetXID(6100)
 	hLate := rg.rum.Watch("s1", 6100)
-	lu := acquireUpdate()
+	lu := acquireUpdate(0)
 	lu.sw, lu.xid, lu.fm, lu.issuedAt = "s1", 6100, lateFM, rg.sim.Now()
 	sess.ack.stageAggregate(lu)
 

@@ -101,13 +101,29 @@ func (b *barrierLayer) absorbBarrierLocked(m *of.BarrierRequest) {
 	// waiter queued against either condition has a listener call coming
 	// that drains every eligible waiter in order.
 	if len(b.waiters) == 0 && b.sess.ack.quiescentAt(upTo) {
-		reply := &of.BarrierReply{}
-		reply.SetXID(m.GetXID())
 		// Reply directly: nothing may be pending ahead of it.
-		b.sess.sendToController(reply)
-		return
+		b.reply(m.GetXID())
+	} else {
+		b.waiters = append(b.waiters, barWaiter{xid: m.GetXID(), upTo: upTo})
 	}
-	b.waiters = append(b.waiters, barWaiter{xid: m.GetXID(), upTo: upTo})
+	// The absorbed request goes no further. A controller conn that
+	// encodes frames also decoded it into a struct nobody else holds, so
+	// it returns to the codec pool (like recycleFM for tracked FlowMods).
+	if b.sess.recycleAcks {
+		of.Release(m)
+	}
+}
+
+// reply answers an absorbed barrier on the controller channel, above the
+// layer chain. On a frame-encoding conn the reply struct is RUM's again
+// once the send returns and cycles through the codec pool.
+func (b *barrierLayer) reply(xid uint32) {
+	rep := of.AcquireBarrierReply()
+	rep.SetXID(xid)
+	b.sess.sendToController(rep)
+	if b.sess.recycleAcks {
+		of.Release(rep)
+	}
 }
 
 // FromSwitch implements proxy.Layer: messages are held while a barrier
@@ -115,23 +131,45 @@ func (b *barrierLayer) absorbBarrierLocked(m *of.BarrierRequest) {
 func (b *barrierLayer) FromSwitch(ctx *proxy.Context, m of.Message) {
 	b.captureCtx(ctx)
 	b.mu.Lock()
-	if len(b.waiters) > 0 {
-		// Fine-grained RUM acks bypass the hold: they are the mechanism a
-		// RUM-aware controller uses to make progress toward resolving the
-		// barrier.
-		if e, ok := m.(*of.Error); ok {
-			if _, _, isAck := e.IsRUMAck(); isAck {
-				b.mu.Unlock()
-				ctx.ToController(m)
-				return
-			}
-		}
+	if len(b.waiters) > 0 && !isRUMAck(m) {
 		b.upQ = append(b.upQ, m)
 		b.mu.Unlock()
 		return
 	}
 	b.mu.Unlock()
 	ctx.ToController(m)
+}
+
+// FromSwitchBatch implements proxy.BatchLayer: the ack layer hands up the
+// acks of a confirmed batch in one call, and they continue as one batch.
+func (b *barrierLayer) FromSwitchBatch(ctx *proxy.Context, ms []of.Message) {
+	b.captureCtx(ctx)
+	b.mu.Lock()
+	if len(b.waiters) > 0 {
+		pass := ms[:0]
+		for _, m := range ms {
+			if isRUMAck(m) {
+				pass = append(pass, m)
+			} else {
+				b.upQ = append(b.upQ, m)
+			}
+		}
+		ms = pass
+	}
+	b.mu.Unlock()
+	ctx.ToControllerBatch(ms)
+}
+
+// isRUMAck reports whether m is a fine-grained RUM ack. Acks bypass the
+// hold behind a pending barrier reply: they are the mechanism a RUM-aware
+// controller uses to make progress toward resolving the barrier.
+func isRUMAck(m of.Message) bool {
+	e, ok := m.(*of.Error)
+	if !ok {
+		return false
+	}
+	_, _, isAck := e.IsRUMAck()
+	return isAck
 }
 
 // onConfirm receives confirmations from the ack layer (every outcome,
@@ -148,17 +186,18 @@ func (b *barrierLayer) onConfirm(u *Update, outcome Outcome) {
 // reach its interval boundary.
 func (b *barrierLayer) releaseLocked() {
 	for len(b.waiters) > 0 && b.sess.ack.confirmedThrough() >= b.waiters[0].upTo {
-		w := b.waiters[0]
-		b.waiters = b.waiters[1:]
-		reply := &of.BarrierReply{}
-		reply.SetXID(w.xid)
-		b.sess.sendToController(reply)
+		// Pop in place: the FIFO stays a handful of entries deep, and
+		// re-slicing from the front would walk the backing array until
+		// append had to reallocate it.
+		xid := b.waiters[0].xid
+		b.waiters = b.waiters[:copy(b.waiters, b.waiters[1:])]
+		b.reply(xid)
 		// Flush held switch→controller messages.
-		upQ := b.upQ
-		b.upQ = nil
-		for _, m := range upQ {
+		for i, m := range b.upQ {
 			b.sess.sendToController(m)
+			b.upQ[i] = nil
 		}
+		b.upQ = b.upQ[:0]
 		// In buffer mode, release held commands up to (and absorbing) the
 		// next barrier.
 		if b.buffer {
@@ -172,6 +211,7 @@ func (b *barrierLayer) releaseLocked() {
 // FlowMod can synchronously confirm (no-wait technique) and re-enter
 // onConfirm; the lock is held by the caller.
 func (b *barrierLayer) releaseDownLocked(ctx *proxy.Context) {
+	forwarded := false
 	for len(b.downQ) > 0 && len(b.waiters) == 0 {
 		m := b.downQ[0]
 		b.downQ = b.downQ[1:]
@@ -189,6 +229,15 @@ func (b *barrierLayer) releaseDownLocked(ctx *proxy.Context) {
 			continue
 		}
 		b.forwardUnlocked(ctx, m)
+		forwarded = true
+	}
+	if forwarded {
+		// The released commands are a dispatch burst of this layer's own
+		// making (proxy.BurstLayer): end it, so the covering barrier is
+		// stamped and the outbox drained.
+		b.mu.Unlock()
+		b.sess.endBurst()
+		b.mu.Lock()
 	}
 }
 

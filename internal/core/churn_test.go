@@ -144,10 +144,10 @@ func TestMixedStrategyChurn32Switches(t *testing.T) {
 	}
 }
 
-// TestWallClockDetachReattach cycles a wall-clock (pump-goroutine) switch
+// TestWallClockDetachReattach cycles a wall-clock (inline-drain) switch
 // through detach-during-churn and reattach: the new session's shard must
-// flush normally — a drain flag stranded by the old pump would wedge
-// every post-reattach update forever.
+// flush normally — a drain flag stranded by the old session's drainer
+// would wedge every post-reattach update forever.
 func TestWallClockDetachReattach(t *testing.T) {
 	clk := sim.NewWall()
 	r, err := New(Config{Clock: clk, Technique: TechBarriers}, NewTopology(nil))

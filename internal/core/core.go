@@ -169,8 +169,7 @@ type Config struct {
 	// historical unbounded behavior. When set, tracked controller
 	// FlowMods that arrive at a full outbox get the Overload policy's
 	// treatment; RUM-internal messages (barriers, probes) always enqueue —
-	// barrier coalescing already bounds them. The bound is ignored in
-	// Unsharded mode (the legacy baseline has no outbox).
+	// barrier coalescing already bounds them.
 	OutboxLimit int
 	// Overload selects what happens to a tracked FlowMod arriving at a
 	// full outbox: OverloadBlock (default — the dispatch goroutine waits
@@ -208,19 +207,10 @@ type Config struct {
 	// bounds (TimeoutRate) and barrier intervals count physical installs —
 	// a compressed burst holds barriers and timeout cohorts for fewer
 	// rules than the controller issued. Logical staging coalesces one
-	// dispatch burst per clock instant under a simulated clock; under a
-	// wall clock batches degrade toward per-message without affecting
-	// correctness. See docs/AGGREGATION.md.
+	// dispatch burst per batch: a clock instant under a simulated clock,
+	// a read burst of the controller's connection under a wall clock.
+	// See docs/AGGREGATION.md.
 	Aggregate bool
-
-	// Unsharded reverts the update/ack hot path to its pre-sharding
-	// execution mode: every switch's bookkeeping serializes behind one
-	// RUM-wide mutex and switch-bound messages are sent one at a time
-	// with the lock held — no per-switch shards, no batched injection, no
-	// barrier coalescing. It exists as the baseline the shard-contention
-	// regression benchmarks compare against; production deployments
-	// should leave it false.
-	Unsharded bool
 }
 
 // Defaults fills unset fields with the paper's evaluation parameters.
@@ -398,12 +388,11 @@ func IsRUMXID(x uint32) bool { return of.IsRUMXID(x) }
 // Concurrency: the hot path is sharded per switch. Each switch's pending
 // updates, ack futures, and outbound message queue live on its shard (see
 // shard), guarded by that shard's mutex alone; cross-switch state is
-// lock-free (atomic xid allocation and counters) or read-mostly (the
-// subscriber list behind an RWMutex). The RUM-level mutex mu guards only
-// the cold paths — attach, detach, bootstrap — so no global lock is ever
-// held across strategy code or message sends. Config.Unsharded collapses
-// all shard locks onto legacyMu, restoring the pre-sharding behavior for
-// baseline benchmarks.
+// lock-free (atomic xid allocation and counters, both touched once per
+// confirmed batch rather than once per update) or read-mostly (the
+// copy-on-write subscriber list). The RUM-level mutex mu guards only the
+// cold paths — attach, detach, bootstrap — so no global lock is ever held
+// across strategy code or message sends.
 type RUM struct {
 	cfg  Config
 	topo *Topology
@@ -413,14 +402,22 @@ type RUM struct {
 	deployments  []AckStrategy             // distinct deployments, probe-routing order
 	colors       map[string]int            // general probing: switch → color index (read-only after New)
 
-	mu       sync.Mutex // cold path: attach/detach/bootstrap serialization
-	legacyMu sync.Mutex // Unsharded mode: the pre-shard RUM-wide lock
-	shards   sync.Map   // switch name → *shard; entries persist across reattach
+	mu     sync.Mutex // cold path: attach/detach/bootstrap serialization
+	shards sync.Map   // switch name → *shard; entries persist across reattach
 
 	nextXID atomic.Uint32
 
-	subsMu sync.RWMutex
-	subs   []*Subscription
+	// subs is the copy-on-write subscriber list: publishers load the
+	// current snapshot, Subscribe/Close replace it under subsMu.
+	subsMu sync.Mutex
+	subs   atomic.Pointer[[]*Subscription]
+
+	// scheduled is set under the simulated clock, whose discrete-event
+	// engine runs every callback on one thread: outbox drains and burst
+	// ends are clock events there (an instant is the burst) and nothing
+	// may wait. Under any other clock the goroutine that delivered a burst
+	// ends it and drains.
+	scheduled bool
 
 	// Overload gates, resolved once in New so the hot path pays a single
 	// bool load when the bound is off. degradeOn implies overloadOn.
@@ -449,7 +446,8 @@ func New(cfg Config, topo *Topology) (*RUM, error) {
 		strats: make(map[Technique]AckStrategy),
 	}
 	r.nextXID.Store(rumXIDBase)
-	r.overloadOn = cfg.OutboxLimit > 0 && !cfg.Unsharded
+	_, r.scheduled = cfg.Clock.(*sim.Sim)
+	r.overloadOn = cfg.OutboxLimit > 0
 	r.degradeOn = r.overloadOn && cfg.Overload == OverloadDegrade
 	if cfg.Strategy != nil {
 		r.defaultStrat = cfg.Strategy
@@ -514,28 +512,24 @@ func (r *RUM) CatchTos(sw string) uint8 {
 	return tosCatchBase + 4*uint8(r.colors[sw])
 }
 
-// newXID allocates a RUM-internal transaction id, lock-free on the
-// sharded path (xids are the one piece of cross-switch hot-path state
-// left, so they must not funnel through a mutex).
-func (r *RUM) newXID() uint32 {
-	if r.cfg.Unsharded {
-		r.legacyMu.Lock()
-		defer r.legacyMu.Unlock()
-		x := r.nextXID.Load() + 1
-		if x < rumXIDBase {
-			x = rumXIDBase + 1
-		}
-		r.nextXID.Store(x)
-		return x
-	}
+// newXID allocates a RUM-internal transaction id.
+func (r *RUM) newXID() uint32 { return r.newXIDs(1) }
+
+// newXIDs reserves n consecutive RUM-internal transaction ids with one
+// atomic operation and returns the first. Xids are the one piece of
+// cross-switch hot-path state left, so a confirmed batch takes its acks'
+// xids as one block instead of hitting the shared counter per ack.
+func (r *RUM) newXIDs(n uint32) uint32 {
 	for {
-		x := r.nextXID.Add(1)
-		if x > rumXIDBase {
-			return x
+		last := r.nextXID.Add(n)
+		first := last - n + 1
+		if first > rumXIDBase && first <= last {
+			return first
 		}
-		// Wrapped around uint32 space: park the counter back at the base
+		// The block wrapped around uint32 space (or started below the
+		// reserved range after a wrap): park the counter back at the base
 		// and retry (losers of the CAS retry on the fresh value).
-		r.nextXID.CompareAndSwap(x, rumXIDBase)
+		r.nextXID.CompareAndSwap(last, rumXIDBase)
 	}
 }
 
@@ -588,7 +582,8 @@ func (r *RUM) AttachSwitch(name string, dpid uint64, ctrlConn, swConn transport.
 	// FlowMods it decoded. Pipes pass pointers and keep shared ownership.
 	s.recycleAcks = transport.EncodesFrames(ctrlConn)
 	s.reuseBatch = transport.EncodesFrames(swConn)
-	s.recycleFM = s.recycleAcks && s.reuseBatch && !r.cfg.Unsharded
+	s.recycleFM = s.recycleAcks && s.reuseBatch
+	s.liveStripe = uint8(liveStripeSeq.Add(1) % liveStripes)
 	al := newAckLayer(s)
 	al.journalOn = r.journal != nil
 	s.ack = al
@@ -604,6 +599,11 @@ func (r *RUM) AttachSwitch(name string, dpid uint64, ctrlConn, swConn transport.
 	// layer chain inside NewSession and reaches s.strat (and the shard's
 	// outbox) immediately.
 	s.strat = r.strategyFor(name).ForSwitch(strategyCtx{s: s})
+	s.burstEnder, _ = s.strat.(BurstEnder)
+	s.resolved, _ = s.strat.(ResolutionObserver)
+	if r.scheduled && s.burstEnder != nil {
+		s.fireBurstEnd = s.scheduledBurstEnd
+	}
 	sh.bind(s)
 	ps := proxy.NewSession(name, dpid, r.cfg.Clock, ctrlConn, swConn, layers...)
 	s.proxy = ps
@@ -627,6 +627,20 @@ type session struct {
 	// techName is the serving strategy's registered name, cached for the
 	// intent journal's records.
 	techName string
+	// burstEnder and resolved are the strategy's optional hooks, resolved
+	// once at attach (nil when not implemented).
+	burstEnder BurstEnder
+	resolved   ResolutionObserver
+	// burstArmed / fireBurstEnd drive the strategy's OnBurstEnd under a
+	// simulated clock, where a burst is one instant (see noteFlowMod).
+	burstArmed   atomic.Bool
+	fireBurstEnd func()
+	// burstAt caches the wall-clock reading the current controller burst's
+	// updates are stamped with; zero between bursts.
+	burstAt atomic.Int64
+	// liveStripe is the LiveUpdates counter stripe this session's updates
+	// are counted on.
+	liveStripe uint8
 
 	// recycleAcks: the controller conn encodes frames, so emitted RUM
 	// acks return to the codec pool after Send. reuseBatch: the switch
@@ -641,18 +655,65 @@ type session struct {
 }
 
 // sendToSwitch queues a message for the switch's control channel through
-// the session's shard: sends batch per flush and RUM barriers coalesce.
-// It is safe during attach, before message flow starts (the shard is
-// bound before NewSession flushes backlogged traffic through the layers).
-func (s *session) sendToSwitch(m of.Message) { s.shard.enqueue(m) }
+// the session's shard and drains the outbox inline (or leaves the message
+// to the drain in progress): sends batch per flush and RUM barriers
+// coalesce. It is safe during attach, before message flow starts (the
+// shard is bound before NewSession flushes backlogged traffic through the
+// layers).
+func (s *session) sendToSwitch(m of.Message) { s.shard.enqueue(s, m) }
 
-// sendTrackedToSwitch is sendToSwitch for a controller FlowMod that
-// passed overload admission; it consumes the outbox reservation.
-func (s *session) sendTrackedToSwitch(m of.Message) { s.shard.enqueueReserved(m) }
+// endBurst closes a dispatch burst — a read burst of the controller conn,
+// an injected message, a barrier-layer release: the aggregation stage is
+// flushed, the strategy stamps whatever it coalesces per burst (the one
+// covering barrier), and the goroutine that queued the burst drains the
+// outbox with one batch send. Under a simulated clock all three are
+// clock events scheduled as the burst's messages arrive (an instant is
+// the burst), so there is nothing left to do here.
+func (s *session) endBurst() {
+	if s.rum.scheduled {
+		return
+	}
+	s.burstAt.Store(0)
+	if s.agg != nil {
+		s.ack.flushAggStage()
+	}
+	if s.burstEnder != nil {
+		s.burstEnder.OnBurstEnd()
+	}
+	s.shard.drain()
+}
 
-// sendToSwitchNow writes directly to the switch connection, below the
-// shard's outbox; only shard flushes (which own the ordering) call it.
-func (s *session) sendToSwitchNow(m of.Message) { _ = s.swConn.Send(m) }
+// burstNow is the issue timestamp for an update of the current controller
+// burst: the clock is read once per burst, when its first update is
+// tracked. The simulated clock is free to read and every instant is its
+// own burst there.
+func (s *session) burstNow() time.Duration {
+	if s.rum.scheduled {
+		return s.rum.cfg.Clock.Now()
+	}
+	if t := s.burstAt.Load(); t != 0 {
+		return time.Duration(t)
+	}
+	t := s.rum.cfg.Clock.Now()
+	s.burstAt.Store(int64(t))
+	return t
+}
+
+// noteFlowMod follows every OnFlowMod. Under a wall clock the burst's end
+// is signalled by whoever delivered the burst (endBurst); under the
+// simulated clock the first update of an instant schedules the strategy's
+// OnBurstEnd behind everything else queued for that instant.
+func (s *session) noteFlowMod() {
+	if !s.rum.scheduled || s.burstEnder == nil || s.burstArmed.Swap(true) {
+		return
+	}
+	s.rum.cfg.Clock.After(0, s.fireBurstEnd)
+}
+
+func (s *session) scheduledBurstEnd() {
+	s.burstArmed.Store(false)
+	s.burstEnder.OnBurstEnd()
+}
 
 // sendBatchToSwitchNow writes a whole flushed batch to the switch
 // connection, in one transport operation when the conn supports it, and
@@ -661,7 +722,7 @@ func (s *session) sendToSwitchNow(m of.Message) { _ = s.swConn.Send(m) }
 // fault links, bounded TCP writers); the shard requeues the remainder.
 // Plain conns always accept everything.
 //
-// This is the shard pump's pool release point: on conns that serialize
+// This is the outbox drain's pool release point: on conns that serialize
 // frames during the send (TCP), RUM regains exclusive ownership of its
 // own barrier requests the moment the call returns — nothing else ever
 // references them (strategies track barriers by xid only) — so they go
@@ -686,7 +747,7 @@ func (s *session) sendBatchToSwitchNow(ms []of.Message) int {
 			_ = s.swConn.Send(m)
 		}
 	}
-	if !transport.EncodesFrames(s.swConn) {
+	if !s.reuseBatch {
 		return sent
 	}
 	flowMods := 0
@@ -814,6 +875,9 @@ func (r *RUM) DetachSwitchCause(name string, cause error) bool {
 	// Attach holds mu until the session is fully built, so proxy and
 	// strat are always valid here.
 	_ = s.proxy.Close()
+	// Readers may still be unwinding a burst: from here on the ack layer
+	// fails what they deliver instead of tracking it on a dead session.
+	s.ack.close(cause)
 	// The shard's outbox is gone: wire references for never-encoded
 	// FlowMods must drop here or the pooled updates leak.
 	s.ack.releaseWire()
@@ -831,7 +895,7 @@ func (r *RUM) DetachSwitchCause(name string, cause error) bool {
 	// run must fail now, with the same cause as the in-flight physical
 	// ops below (whose fan-in fails the logical futures they cover).
 	if s.agg != nil {
-		s.ack.dropAggStage(cause)
+		s.ack.dropAggStage()
 	}
 	for _, u := range s.ack.takePendingRetained() {
 		s.ack.confirmCause(u, OutcomeFailed, cause)
@@ -979,8 +1043,8 @@ func (r *RUM) OutboxHighWater(name string) int {
 		return 0
 	}
 	sh := v.(*shard)
-	sh.lock()
-	defer sh.unlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	return sh.obHighWater
 }
 
@@ -992,7 +1056,7 @@ func (r *RUM) Degraded(name string) bool {
 		return false
 	}
 	sh := v.(*shard)
-	sh.lock()
-	defer sh.unlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	return sh.degraded
 }

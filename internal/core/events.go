@@ -81,7 +81,8 @@ func (r *RUM) Subscribe(buf int) *Subscription {
 	s := &Subscription{r: r, ch: make(chan Event, buf)}
 	s.C = s.ch
 	r.subsMu.Lock()
-	r.subs = append(r.subs, s)
+	subs := append(append([]*Subscription(nil), r.subsSnapshot()...), s)
+	r.subs.Store(&subs)
 	r.subsMu.Unlock()
 	return s
 }
@@ -94,13 +95,13 @@ func (s *Subscription) Close() {
 	}
 	r := s.r
 	r.subsMu.Lock()
-	kept := make([]*Subscription, 0, len(r.subs))
-	for _, q := range r.subs {
+	var kept []*Subscription
+	for _, q := range r.subsSnapshot() {
 		if q != s {
 			kept = append(kept, q)
 		}
 	}
-	r.subs = kept
+	r.subs.Store(&kept)
 	r.subsMu.Unlock()
 }
 
@@ -119,22 +120,14 @@ func (s *Subscription) deliver(ev Event) {
 	}
 }
 
-// subsSnapshot copies the subscriber list. On the sharded path it takes
-// only a read lock, so concurrent publishers from different shards never
-// serialize; in Unsharded mode it funnels through the RUM-wide legacy
-// mutex like the rest of the pre-shard hot path.
+// subsSnapshot returns the current subscriber list (nil when nobody
+// listens). The list is copy-on-write, so the snapshot is immutable and
+// publishers from different shards never serialize.
 func (r *RUM) subsSnapshot() []*Subscription {
-	if r.cfg.Unsharded {
-		// Contention emulation only; subsMu below still owns the data.
-		r.legacyMu.Lock()
-		defer r.legacyMu.Unlock()
+	if p := r.subs.Load(); p != nil {
+		return *p
 	}
-	r.subsMu.RLock()
-	defer r.subsMu.RUnlock()
-	if len(r.subs) == 0 {
-		return nil
-	}
-	return append([]*Subscription(nil), r.subs...)
+	return nil
 }
 
 func fanout(subs []*Subscription, ev Event) {
@@ -164,13 +157,4 @@ func (r *RUM) noteFallback(u *Update) {
 	if subs := r.subsSnapshot(); subs != nil {
 		fanout(subs, FallbackEvent{Switch: u.sw, XID: u.xid, At: r.cfg.Clock.Now()})
 	}
-}
-
-// noteAck counts one wire-level fine-grained acknowledgment.
-func (r *RUM) noteAck() {
-	if r.cfg.Unsharded {
-		r.legacyMu.Lock()
-		defer r.legacyMu.Unlock()
-	}
-	r.acksSent.Add(1)
 }

@@ -179,8 +179,3 @@ func (r *RUM) Watch(sw string, xid uint32) *UpdateHandle {
 func (r *RUM) unwatch(h *UpdateHandle) {
 	r.shardFor(h.sw).unwatch(h)
 }
-
-// resolveWatch delivers a result to every handle watching it.
-func (r *RUM) resolveWatch(res AckResult) {
-	r.shardFor(res.Switch).resolveWatch(res)
-}

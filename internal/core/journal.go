@@ -106,12 +106,7 @@ func (a *ackLayer) journalDeliver() {
 // caller's hands for rescue. Taken handles are unreachable from the
 // shard, so a racing Cancel is a safe no-op.
 func (r *RUM) TakeWatchers(sw string) map[uint32]*UpdateHandle {
-	sh := r.shardFor(sw)
-	sh.lock()
-	w := sh.watchers
-	sh.watchers = nil
-	sh.unlock()
-	return w
+	return r.shardFor(sw).takeWatchers()
 }
 
 // Rebind registers a handle taken by TakeWatchers on this RUM instance

@@ -2,10 +2,10 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rum/internal/of"
-	"rum/internal/sim"
 )
 
 // shard is one switch's slice of the update/ack hot path. Every attached
@@ -18,28 +18,30 @@ import (
 // goes.
 //
 // Outbox semantics: messages bound for the switch are appended under the
-// shard lock and flushed in batches off the dispatch path. Under a
-// simulated clock the flush is a scheduled event (clock.After(0) — the
-// discrete-event engine is single-threaded by design, so a goroutine
-// would race it); under any other clock the shard runs its own pump
-// goroutine, woken through a channel handoff, so enqueuing never blocks
-// on the wire. Batching is what makes coalescing possible: while a burst
-// sits in the outbox, RUM-internal BarrierRequests collapse into the
-// newest one, because on a FIFO switch a reply to a later barrier is a
-// strictly stronger signal than a reply to an earlier one. The shard
-// remembers the xids it swallowed and synthesizes their replies when the
-// surviving barrier's reply arrives, so strategies observe every barrier
-// they sent.
+// shard lock and leave in batches, drained by exactly one goroutine at a
+// time (the flushing flag). Under a simulated clock the drain is a
+// scheduled event (clock.After(0) — the discrete-event engine is
+// single-threaded by design, so everything queued in one instant rides
+// one flush). Under any other clock there is no drain goroutine: whoever
+// queued the message drains. The controller conn's reader queues a whole
+// read burst without draining and flushes it once at the burst's end
+// (session.endBurst); every other producer — strategy timers, probes
+// injected via a neighbor, the barrier layer's release — drains inline as
+// it enqueues. A producer that finds a drain in progress just leaves its
+// message behind: the drainer re-checks the outbox under the lock before
+// it lets go of the flag. Draining never blocks — conns queue sends for
+// their own writer — so enqueuing never waits on the wire. Batching is
+// what makes coalescing possible: while a burst sits in the outbox,
+// RUM-internal BarrierRequests collapse into the newest one, because on a
+// FIFO switch a reply to a later barrier is a strictly stronger signal
+// than a reply to an earlier one. The shard remembers the xids it
+// swallowed and synthesizes their replies when the surviving barrier's
+// reply arrives, so strategies observe every barrier they sent.
 //
 // Nothing here allocates at steady state: drained outbox backings are
 // recycled through a spare slot, ack-future registrations chain
 // intrusively through the handles themselves, and the coalesced-xid
 // slices cycle through a small per-shard free list.
-//
-// In Config.Unsharded mode (the pre-sharding baseline kept for regression
-// benchmarks) all of this is bypassed: every shard serializes behind the
-// RUM-wide legacy mutex and messages are sent unbatched, with the lock
-// held across the send.
 type shard struct {
 	r    *RUM
 	name string
@@ -49,12 +51,13 @@ type shard struct {
 	gen       uint64   // bumped by close(); stale drainers bail on mismatch
 	outbox    []of.Message
 	obSpare   []of.Message             // recycled backing of the last drained batch
-	flushing  bool                     // a flush is scheduled or the pump is mid-drain
-	wake      chan struct{}            // pump handoff (nil in scheduled-flush mode)
-	stop      chan struct{}            // closes with the session to end the pump
+	flushing  bool                     // a flush is scheduled or a goroutine is mid-drain
 	coalesced map[uint32][]uint32      // surviving RUM barrier xid → swallowed xids
 	xidFree   [][]uint32               // recycled swallowed-xid slices
 	watchers  map[uint32]*UpdateHandle // heads of intrusive per-xid chains
+	// nWatch mirrors len(watchers) so the confirmation path skips the
+	// shard lock entirely while nobody watches this switch.
+	nWatch atomic.Int32
 
 	// Overload state, live only when Config.OutboxLimit > 0. reserved
 	// counts admitted tracked FlowMods not yet appended to the outbox;
@@ -68,55 +71,24 @@ type shard struct {
 	reserved    int
 	inFlight    int
 	waiters     []chan struct{}
-	noBlock     bool // simulated clock: Block cannot wait, sheds instead
 	degraded    bool
 	drainStart  time.Duration
 	drainEWMA   time.Duration
 	obHighWater int
 }
 
-// lock takes the shard's hot-path lock — the per-shard mutex, or the
-// RUM-wide legacy mutex in Unsharded mode.
-func (sh *shard) lock() {
-	if sh.r.cfg.Unsharded {
-		sh.r.legacyMu.Lock()
-	} else {
-		sh.mu.Lock()
-	}
-}
-
-func (sh *shard) unlock() {
-	if sh.r.cfg.Unsharded {
-		sh.r.legacyMu.Unlock()
-	} else {
-		sh.mu.Unlock()
-	}
-}
-
 // session returns the attached session, or nil while detached.
 func (sh *shard) session() *session {
-	sh.lock()
-	defer sh.unlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	return sh.sess
 }
 
-// bind attaches a session to the shard, reopening the outbox. Away from
-// the single-threaded simulated clock it also starts the shard's pump
-// goroutine (one per attached switch), which owns draining the outbox.
+// bind attaches a session to the shard, reopening the outbox.
 func (sh *shard) bind(s *session) {
-	sh.lock()
+	sh.mu.Lock()
 	sh.sess = s
-	_, isSim := sh.r.cfg.Clock.(*sim.Sim)
-	// Under the discrete-event clock every callback shares one thread, so
-	// a Block admitter cannot wait for a flush that would have to run on
-	// the same thread: Block degrades to an immediate deadline expiry.
-	sh.noBlock = isSim
-	if !isSim && !sh.r.cfg.Unsharded {
-		sh.wake = make(chan struct{}, 1)
-		sh.stop = make(chan struct{})
-		go sh.pump(sh.wake, sh.stop, sh.gen)
-	}
-	sh.unlock()
+	sh.mu.Unlock()
 }
 
 // close detaches the shard from its session. The unflushed outbox is
@@ -127,17 +99,18 @@ func (sh *shard) bind(s *session) {
 // A flush that fires after close observes the nil session and does
 // nothing; enqueues race-free no-op until the next bind.
 func (sh *shard) close() {
-	sh.lock()
+	sh.mu.Lock()
 	sh.sess = nil
 	sh.outbox = nil
 	sh.obSpare = nil
 	sh.coalesced = nil
 	sh.xidFree = nil
-	// Reset the drain state: the pump may exit on stop with a wake token
-	// unserviced, and a flushing flag left true would make every enqueue
-	// after a reattach skip waking the new pump — wedging the shard
-	// forever. The generation bump makes any drainer still in flight from
-	// this session bail instead of touching the next session's state.
+	// Reset the drain state: a flushing flag left true by a drainer of this
+	// session (a scheduled flush that will now bail, a goroutine mid-send)
+	// would make every enqueue after a reattach skip draining — wedging
+	// the shard forever. The generation bump makes any drainer still in
+	// flight from this session bail instead of touching the next
+	// session's state.
 	sh.flushing = false
 	sh.gen++
 	// Overload state dies with the session: parked Block admitters wake
@@ -147,11 +120,7 @@ func (sh *shard) close() {
 	sh.reserved, sh.inFlight = 0, 0
 	sh.degraded, sh.drainEWMA = false, 0
 	sh.wakeWaitersLocked()
-	if sh.stop != nil {
-		close(sh.stop)
-		sh.wake, sh.stop = nil, nil
-	}
-	sh.unlock()
+	sh.mu.Unlock()
 }
 
 // wakeWaitersLocked releases every parked Block-policy admitter; they
@@ -177,7 +146,7 @@ func (sh *shard) wakeWaitersLocked() {
 // ackLayer.mu → shard.mu forbids blocking once tracking has begun.
 func (sh *shard) admitUpdate() bool {
 	limit := sh.r.cfg.OutboxLimit
-	if limit <= 0 || sh.r.cfg.Unsharded {
+	if limit <= 0 {
 		return true
 	}
 	policy := sh.r.cfg.Overload
@@ -196,9 +165,20 @@ func (sh *shard) admitUpdate() bool {
 			sh.mu.Unlock()
 			return true
 		}
-		if policy == OverloadShed || sh.noBlock {
+		// Under the discrete-event clock a Block admitter cannot wait for
+		// a flush that would have to run on the same thread: Block
+		// degrades to an immediate deadline expiry.
+		if policy == OverloadShed || sh.r.scheduled {
 			sh.mu.Unlock()
 			return false
+		}
+		// The admitter may be the very reader whose burst filled the
+		// outbox: nobody else will flush what it queued, so it drains
+		// before it waits.
+		if !sh.flushing && len(sh.outbox) > 0 {
+			sh.startDrainLocked()
+			sh.mu.Lock()
+			continue
 		}
 		// Block (and Degrade at the bound): park until a flush completes
 		// or the deadline expires. The deadline is measured across all
@@ -224,33 +204,41 @@ func (sh *shard) admitUpdate() bool {
 	}
 }
 
-// enqueue queues a switch-bound message on the shard's outbox and
-// schedules a flush if none is pending. RUM-internal barriers coalesce
-// into the queue's newest barrier. Messages enqueued while the switch is
-// detached are dropped (their updates fail via the detach path).
-func (sh *shard) enqueue(m of.Message) { sh.enqueueOpts(m, false) }
-
-// enqueueReserved is enqueue for a message that passed admitUpdate: it
-// consumes the admission reservation as it lands on the outbox.
-func (sh *shard) enqueueReserved(m of.Message) { sh.enqueueOpts(m, true) }
-
-func (sh *shard) enqueueOpts(m of.Message, reserved bool) {
-	if sh.r.cfg.Unsharded {
-		// Pre-shard baseline: one RUM-wide mutex held across the send,
-		// no batching, no coalescing.
-		sh.r.legacyMu.Lock()
-		s := sh.sess
-		if s != nil {
-			s.sendToSwitchNow(m)
-		}
-		sh.r.legacyMu.Unlock()
-		return
+// unreserve returns an admitUpdate reservation that will not be used.
+func (sh *shard) unreserve() {
+	sh.mu.Lock()
+	if sh.reserved > 0 {
+		sh.reserved--
 	}
+	sh.mu.Unlock()
+}
+
+// enqueue queues session s's switch-bound message on the shard's outbox
+// and makes sure it gets drained: inline by the caller, or by the drain
+// already in progress. RUM-internal barriers coalesce into the queue's
+// newest barrier. Messages enqueued once s is detached are dropped (their
+// updates fail via the detach path). It must not be called with
+// ackLayer.mu held — the drain's release accounting takes it.
+func (sh *shard) enqueue(s *session, m of.Message) { sh.enqueueOpts(s, m, false, false) }
+
+// enqueueBurst queues a message of a controller burst without draining:
+// the caller guarantees a session.endBurst on the same goroutine once the
+// burst is over (see proxy.BurstLayer), which flushes the whole burst in
+// one batch. reserved marks a FlowMod that passed admitUpdate and consumes
+// its reservation as it lands on the outbox.
+func (sh *shard) enqueueBurst(s *session, m of.Message, reserved bool) {
+	sh.enqueueOpts(s, m, reserved, true)
+}
+
+func (sh *shard) enqueueOpts(s *session, m of.Message, reserved, burst bool) {
 	sh.mu.Lock()
 	if reserved && sh.reserved > 0 {
 		sh.reserved--
 	}
-	if sh.sess == nil {
+	// A session that was detached — and possibly replaced: its readers may
+	// still be unwinding a burst — must not write into its successor's
+	// outbox.
+	if sh.sess != s {
 		sh.mu.Unlock()
 		return
 	}
@@ -261,7 +249,25 @@ func (sh *shard) enqueueOpts(m of.Message, reserved bool) {
 	if n := len(sh.outbox) + sh.inFlight; n > sh.obHighWater {
 		sh.obHighWater = n
 	}
-	if sh.flushing {
+	if burst && !sh.r.scheduled {
+		sh.mu.Unlock()
+		return
+	}
+	sh.startDrainLocked()
+}
+
+// drain flushes whatever the outbox holds unless a drain is already in
+// progress.
+func (sh *shard) drain() {
+	sh.mu.Lock()
+	sh.startDrainLocked()
+}
+
+// startDrainLocked makes the caller the outbox's drainer unless there is
+// one already or nothing to drain. It is entered with the shard lock held
+// and returns with it released.
+func (sh *shard) startDrainLocked() {
+	if sh.flushing || len(sh.outbox) == 0 || sh.sess == nil {
 		sh.mu.Unlock()
 		return
 	}
@@ -269,36 +275,19 @@ func (sh *shard) enqueueOpts(m of.Message, reserved bool) {
 	if sh.r.degradeOn {
 		sh.drainStart = sh.r.cfg.Clock.Now()
 	}
-	degraded := sh.degraded
-	wake := sh.wake
 	gen := sh.gen
-	sh.mu.Unlock()
-	if degraded {
+	switch {
+	case sh.degraded:
 		// Slow switch: instead of flushing immediately, let the batch sit
 		// for DegradeHold so more messages — and more coalescible RUM
-		// barriers — accumulate per wire write. The wheel (and the sim)
-		// run callbacks on their own goroutine/turn, so a slow send here
-		// never stalls enqueuers.
+		// barriers — accumulate per wire write.
+		sh.mu.Unlock()
 		sh.r.cfg.Clock.After(sh.r.cfg.DegradeHold, func() { sh.flush(gen) })
-		return
-	}
-	if wake != nil {
-		wake <- struct{}{} // buffered; only sent on the false→true edge
-		return
-	}
-	sh.r.cfg.Clock.After(0, func() { sh.flush(gen) })
-}
-
-// pump is the shard's drain goroutine (non-simulated clocks): it wakes on
-// the channel handoff from enqueue and flushes until the session closes.
-func (sh *shard) pump(wake <-chan struct{}, stop <-chan struct{}, gen uint64) {
-	for {
-		select {
-		case <-wake:
-			sh.flush(gen)
-		case <-stop:
-			return
-		}
+	case sh.r.scheduled:
+		sh.mu.Unlock()
+		sh.r.cfg.Clock.After(0, func() { sh.flush(gen) })
+	default:
+		sh.flushLocked(gen)
 	}
 }
 
@@ -322,9 +311,9 @@ func (sh *shard) putXidSliceLocked(s []uint32) {
 // releaseCoalesced recycles a slice returned by takeCoalesced once the
 // ack layer has synthesized its replies.
 func (sh *shard) releaseCoalesced(xids []uint32) {
-	sh.lock()
+	sh.mu.Lock()
 	sh.putXidSliceLocked(xids)
-	sh.unlock()
+	sh.mu.Unlock()
 }
 
 // coalesceBarriersLocked removes every queued RUM-internal BarrierRequest
@@ -364,18 +353,27 @@ func (sh *shard) coalesceBarriersLocked(keptXID uint32) {
 	sh.coalesced[keptXID] = dropped
 }
 
-// flush drains the outbox onto the switch connection. Batches are sent
-// outside the shard lock — the flushing flag guarantees a single drainer
-// per generation, so enqueues proceed concurrently and FIFO order holds —
-// and the loop re-checks for messages enqueued while a batch was on the
-// wire. Drained batch backings are handed back as the next outbox so the
-// steady state runs on two recycled slices. A drainer whose generation is
-// stale (the session detached, and possibly reattached, underneath it)
-// backs out without touching the current generation's state.
+// flush is the entry point of a scheduled drain (simulated clock, the
+// Degrade hold, the retry after transport backpressure): the flushing flag
+// was raised when it was scheduled.
 func (sh *shard) flush(gen uint64) {
+	sh.mu.Lock()
+	sh.flushLocked(gen)
+}
+
+// flushLocked drains the outbox onto the switch connection; the caller
+// holds the shard lock and the flushing flag, and the lock is released on
+// return. Batches are sent outside the shard lock — the flushing flag
+// guarantees a single drainer per generation, so enqueues proceed
+// concurrently and FIFO order holds — and the loop re-checks for messages
+// enqueued while a batch was on the wire. Drained batch backings are
+// handed back as the next outbox so the steady state runs on two recycled
+// slices. A drainer whose generation is stale (the session detached, and
+// possibly reattached, underneath it) backs out without touching the
+// current generation's state.
+func (sh *shard) flushLocked(gen uint64) {
 	var spent []of.Message
 	for {
-		sh.mu.Lock()
 		if sh.gen != gen {
 			sh.mu.Unlock()
 			return
@@ -413,7 +411,7 @@ func (sh *shard) flush(gen uint64) {
 			// The transport applied backpressure mid-batch: put the unsent
 			// suffix back at the head of the outbox and retry after a hold,
 			// giving the paced link time to drain. The flushing flag stays
-			// up — this drainer (now the scheduled retry) owns the outbox.
+			// up — the scheduled retry owns the outbox.
 			sh.requeue(batch, sent, gen, s)
 			return
 		}
@@ -426,6 +424,7 @@ func (sh *shard) flush(gen uint64) {
 			}
 			spent = batch[:0]
 		}
+		sh.mu.Lock()
 	}
 }
 
@@ -469,8 +468,8 @@ func (sh *shard) requeue(batch []of.Message, sent int, gen uint64, s *session) {
 // barrier with the given xid (nil for barriers that swallowed none). The
 // caller returns the slice via releaseCoalesced when done.
 func (sh *shard) takeCoalesced(xid uint32) []uint32 {
-	sh.lock()
-	defer sh.unlock()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if len(sh.coalesced) == 0 {
 		return nil
 	}
@@ -483,20 +482,21 @@ func (sh *shard) takeCoalesced(xid uint32) []uint32 {
 // xid chain intrusively through the handles themselves, so registration
 // churn allocates nothing beyond the handle.
 func (sh *shard) watch(h *UpdateHandle) {
-	sh.lock()
+	sh.mu.Lock()
 	if sh.watchers == nil {
 		sh.watchers = make(map[uint32]*UpdateHandle)
 	}
 	h.nextWatch = sh.watchers[h.xid]
 	sh.watchers[h.xid] = h
-	sh.unlock()
+	sh.nWatch.Store(int32(len(sh.watchers)))
+	sh.mu.Unlock()
 }
 
 // unwatch removes one handle's registration. A handle no longer reachable
 // from the table (a resolver took its chain) is left alone — resolve on a
 // cancelled handle is a no-op.
 func (sh *shard) unwatch(h *UpdateHandle) {
-	sh.lock()
+	sh.mu.Lock()
 	if cur, ok := sh.watchers[h.xid]; ok {
 		switch {
 		case cur == h:
@@ -516,17 +516,22 @@ func (sh *shard) unwatch(h *UpdateHandle) {
 			}
 		}
 	}
-	sh.unlock()
+	sh.nWatch.Store(int32(len(sh.watchers)))
+	sh.mu.Unlock()
 }
 
 // resolveWatch delivers a result to every handle watching its xid.
 func (sh *shard) resolveWatch(res AckResult) {
-	sh.lock()
+	if sh.nWatch.Load() == 0 {
+		return
+	}
+	sh.mu.Lock()
 	h := sh.watchers[res.XID]
 	if h != nil {
 		delete(sh.watchers, res.XID)
+		sh.nWatch.Store(int32(len(sh.watchers)))
 	}
-	sh.unlock()
+	sh.mu.Unlock()
 	for h != nil {
 		next := h.nextWatch
 		h.nextWatch = nil
@@ -540,10 +545,7 @@ func (sh *shard) resolveWatch(res AckResult) {
 // flight on the closing control channel without ever being tracked, and
 // its future must not wait for a switch that is gone).
 func (sh *shard) failAllWatchers(now time.Duration, cause error) {
-	sh.lock()
-	watchers := sh.watchers
-	sh.watchers = nil
-	sh.unlock()
+	watchers := sh.takeWatchers()
 	for xid, h := range watchers {
 		res := AckResult{
 			Switch:      sh.name,
@@ -560,4 +562,14 @@ func (sh *shard) failAllWatchers(now time.Duration, cause error) {
 			h = next
 		}
 	}
+}
+
+// takeWatchers removes and returns every registered ack-future chain.
+func (sh *shard) takeWatchers() map[uint32]*UpdateHandle {
+	sh.mu.Lock()
+	w := sh.watchers
+	sh.watchers = nil
+	sh.nWatch.Store(0)
+	sh.mu.Unlock()
+	return w
 }

@@ -97,30 +97,6 @@ func TestShardCoalescesBarriers(t *testing.T) {
 	}
 }
 
-// TestUnshardedSendsEveryBarrier: the pre-sharding compatibility mode
-// must keep the old wire behavior — one barrier per FlowMod, no
-// batching — while still confirming everything.
-func TestUnshardedSendsEveryBarrier(t *testing.T) {
-	bed := newShardBed(t, Config{Technique: TechBarriers, RUMAware: true, Unsharded: true}, 0)
-	const n = 5
-	var handles []*UpdateHandle
-	for i := uint32(1); i <= n; i++ {
-		handles = append(handles, bed.rum.Watch("s1", i))
-		if err := bed.ctrl.Send(testFlowMod(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bed.sim.Run()
-	for i, h := range handles {
-		if res, ok := h.Result(); !ok || res.Outcome != OutcomeInstalled {
-			t.Fatalf("update %d: resolved=%v outcome=%v, want installed", i+1, ok, res.Outcome)
-		}
-	}
-	if bed.barriers != n {
-		t.Fatalf("unsharded mode sent %d barriers, want %d (one per mod)", bed.barriers, n)
-	}
-}
-
 // TestDetachFailsInFlightBatch is the regression test for detach racing
 // a batched injection: FlowMods sitting in the shard's outbox (tracked,
 // not yet flushed to the switch) must resolve their futures as failed

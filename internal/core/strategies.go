@@ -57,13 +57,11 @@ const minTimeoutHold = time.Millisecond
 // barrierStrategy implements TechBarriers (delay == 0) and TechTimeout
 // (delay > 0): a RUM barrier follows the controller's FlowMods; the reply
 // — plus the configured safety delay — confirms everything issued before
-// it (§3.1). Barrier emission is burst-coalesced: OnFlowMod marks the
-// switch dirty and schedules one emission off the dispatch path, so a
-// burst of modifications shares a single barrier covering the newest
-// sequence number (semantically identical — a later barrier's reply
-// confirms a superset — but K-fold cheaper on the wire and in the
-// switch's control queue). Unsharded mode keeps the historical
-// one-barrier-per-FlowMod behavior.
+// it (§3.1). Barrier emission is burst-coalesced: OnFlowMod only records
+// the newest sequence number, and OnBurstEnd emits the one barrier that
+// covers the whole dispatch burst (semantically identical — a later
+// barrier's reply confirms a superset — but K-fold cheaper on the wire
+// and in the switch's control queue).
 //
 // With rate > 0 (Config.TimeoutRate) the safety delay after a reply is
 // work-proportional: outstanding/rate, clamped to delay. The fixed delay
@@ -82,7 +80,6 @@ func (s *barrierStrategy) Name() string { return s.name }
 func (s *barrierStrategy) ForSwitch(sc StrategyContext) SwitchStrategy {
 	t := &barrierSwitch{sc: sc, delay: s.delay, rate: s.rate,
 		retry: sc.Config().BarrierRetry, barriers: make(map[uint32]uint64)}
-	t.emit = t.emitBarrier
 	t.watch = t.watchdog
 	return t
 }
@@ -94,12 +91,11 @@ type barrierSwitch struct {
 	rate  float64
 	retry time.Duration // Config.BarrierRetry (negative: net disabled)
 
-	emit  func() // pre-bound emitBarrier: no closure allocation per burst
 	watch func() // pre-bound watchdog: one allocation per switch, ever
 
 	mu       sync.Mutex
 	barriers map[uint32]uint64 // barrier xid → covered seq
-	dirty    bool              // an emission is scheduled for maxSeq
+	dirty    bool              // FlowMods were observed since the last emission
 	maxSeq   uint64
 	watching bool   // the barrier-retry watchdog timer is armed
 	watchCT  uint64 // watermark at the last watchdog observation
@@ -107,43 +103,28 @@ type barrierSwitch struct {
 }
 
 func (t *barrierSwitch) OnFlowMod(u *Update) {
-	if t.sc.Config().Unsharded {
-		br := of.AcquireBarrierRequest()
-		xid := t.sc.NewXID()
-		br.SetXID(xid)
-		t.mu.Lock()
-		if u.Seq() > t.maxSeq {
-			t.maxSeq = u.Seq()
-		}
-		t.barriers[xid] = u.Seq()
-		t.mu.Unlock()
-		t.sc.SendToSwitch(br)
-		t.ensureWatch()
-		return
-	}
 	t.mu.Lock()
 	if u.Seq() > t.maxSeq {
 		t.maxSeq = u.Seq()
 	}
-	if t.dirty {
+	t.dirty = true
+	t.mu.Unlock()
+}
+
+// OnBurstEnd implements BurstEnder: it sends the one barrier covering
+// every FlowMod observed since the last emission.
+func (t *barrierSwitch) OnBurstEnd() {
+	t.mu.Lock()
+	if !t.dirty || t.detached {
 		t.mu.Unlock()
 		return
 	}
-	t.dirty = true
-	t.mu.Unlock()
-	t.sc.Clock().After(0, t.emit)
-}
-
-// emitBarrier sends the one barrier covering every FlowMod observed since
-// the last emission.
-func (t *barrierSwitch) emitBarrier() {
-	br := of.AcquireBarrierRequest()
-	xid := t.sc.NewXID()
-	br.SetXID(xid)
-	t.mu.Lock()
 	t.dirty = false
+	xid := t.sc.NewXID()
 	t.barriers[xid] = t.maxSeq
 	t.mu.Unlock()
+	br := of.AcquireBarrierRequest()
+	br.SetXID(xid)
 	t.sc.SendToSwitch(br)
 	t.ensureWatch()
 }

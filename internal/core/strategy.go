@@ -83,6 +83,7 @@ type Update struct {
 	done     bool  // guarded by the owning ackLayer's mutex
 	failErr  error // typed failure cause; written under the same mutex
 	ownFM    bool  // fm came off the wire and returns to the codec pool
+	stripe   uint8 // liveUpdates stripe this update is counted on
 	refs     atomic.Int32
 
 	// Aggregation fan-in state (Config.Aggregate; see aggfanin.go).
@@ -105,20 +106,39 @@ var updatePool = sync.Pool{New: func() any { return new(Update) }}
 // future has resolved and every switch has detached, it must return to
 // its pre-workload value, or a reference was leaked (the struct would
 // never recycle) or double-released (the struct would recycle while
-// still reachable).
-var liveUpdates atomic.Int64
+// still reachable). The count is striped by session (each stripe on its
+// own cache line) so the acquire and the final release of every update do
+// not all land on one process-wide line; an update is released on the
+// stripe it was acquired on, so the stripes always sum to the exact count.
+var liveUpdates [liveStripes]struct {
+	n atomic.Int64
+	_ [56]byte
+}
+
+const liveStripes = 16
+
+// liveStripeSeq deals sessions onto stripes round-robin.
+var liveStripeSeq atomic.Uint32
 
 // LiveUpdates reports how many tracked updates currently hold
 // references. It is a debugging/verification counter: sample it before
 // and after a workload whose futures have all resolved — a non-zero
 // delta is a refcount leak.
-func LiveUpdates() int64 { return liveUpdates.Load() }
+func LiveUpdates() int64 {
+	var n int64
+	for i := range liveUpdates {
+		n += liveUpdates[i].n.Load()
+	}
+	return n
+}
 
-// acquireUpdate returns a recycled Update holding one reference.
-func acquireUpdate() *Update {
+// acquireUpdate returns a recycled Update holding one reference, counted
+// on the given liveUpdates stripe.
+func acquireUpdate(stripe uint8) *Update {
 	u := updatePool.Get().(*Update)
 	u.refs.Store(1)
-	liveUpdates.Add(1)
+	u.stripe = stripe
+	liveUpdates[stripe].n.Add(1)
 	return u
 }
 
@@ -148,8 +168,9 @@ func (u *Update) Release() {
 	if u.ownFM && u.fm != nil {
 		of.Release(u.fm)
 	}
+	stripe := u.stripe
 	*u = Update{}
-	liveUpdates.Add(-1)
+	liveUpdates[stripe].n.Add(-1)
 	updatePool.Put(u)
 }
 
@@ -279,6 +300,16 @@ type SwitchBootstrapper interface {
 // signal that cannot come.
 type ResolutionObserver interface {
 	OnUpdateResolved(u *Update, outcome Outcome)
+}
+
+// BurstEnder is implemented by SwitchStrategy instances that coalesce
+// work across a dispatch burst: RUM invokes OnBurstEnd once after the
+// last OnFlowMod of every burst — a read burst of the controller's
+// connection under a wall clock (on the goroutine that delivered it), one
+// instant under the simulated clock. The barrier techniques use it to
+// cover a whole burst with a single barrier.
+type BurstEnder interface {
+	OnBurstEnd()
 }
 
 // NeighborBootstrapper is implemented by SwitchStrategy instances that

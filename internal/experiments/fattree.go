@@ -49,9 +49,6 @@ type FatTreeChurnOpts struct {
 	// Negative restores the fixed-delay behavior (the tail-regression
 	// baseline).
 	TimeoutRate float64
-	// Unsharded runs the pre-sharding compatibility hot path (the
-	// regression baseline).
-	Unsharded bool
 	// CtrlLatency and LinkLatency mirror EnvConfig (defaults 100µs/20µs).
 	CtrlLatency time.Duration
 	LinkLatency time.Duration
@@ -158,7 +155,6 @@ func FatTreeChurn(opts FatTreeChurnOpts) (*FatTreeChurnResult, error) {
 		Clock:     s,
 		Technique: opts.Technique,
 		RUMAware:  true,
-		Unsharded: opts.Unsharded,
 	}
 	if opts.TimeoutRate > 0 {
 		cfg.TimeoutRate = opts.TimeoutRate

@@ -81,26 +81,6 @@ func TestFatTreeTimeoutRateBoundsTail(t *testing.T) {
 	}
 }
 
-// TestFatTreeChurnUnshardedParity runs the same small workload over the
-// pre-sharding compatibility path: the sharded refactor must not change
-// what completes, only how fast.
-func TestFatTreeChurnUnshardedParity(t *testing.T) {
-	res, err := FatTreeChurn(FatTreeChurnOpts{
-		K:                4,
-		UpdatesPerSwitch: 4,
-		Mixed:            true,
-		Unsharded:        true,
-		Deadline:         30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != res.Updates {
-		t.Fatalf("unsharded path completed %d/%d updates (failed=%d unacked=%d)",
-			res.Completed, res.Updates, res.Failed, res.Unacked)
-	}
-}
-
 // TestFatTreeChurnSingleTechnique covers the homogeneous configuration
 // (every switch on the timeout technique).
 func TestFatTreeChurnSingleTechnique(t *testing.T) {

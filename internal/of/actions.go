@@ -214,9 +214,36 @@ func UnmarshalActions(buf []byte) ([]Action, error) {
 	return UnmarshalActionsAppend(nil, buf)
 }
 
+// boxedOutputs[p] is ActionOutput{Port: p} already converted to the Action
+// interface. Putting a struct into an interface allocates, and "output to
+// a physical port" is the action of nearly every FlowMod a controller
+// sends, so the decoder hands out these shared values instead.
+var boxedOutputs = func() (b [256]Action) {
+	for p := range b {
+		b[p] = ActionOutput{Port: uint16(p)}
+	}
+	return b
+}()
+
+// boxOutput returns a as an Action without allocating when it can: the
+// pre-boxed value for a low port with no MaxLen, else stale if that holds
+// an equal action, else a fresh box.
+func boxOutput(a ActionOutput, stale Action) Action {
+	if a.MaxLen == 0 && int(a.Port) < len(boxedOutputs) {
+		return boxedOutputs[a.Port]
+	}
+	if prev, ok := stale.(ActionOutput); ok && prev == a {
+		return stale
+	}
+	return a
+}
+
 // UnmarshalActionsAppend decodes a wire action list, appending the actions
 // to dst. Decoders that own a reusable message struct pass the struct's
-// existing slice truncated to zero so its capacity is reused.
+// existing slice truncated to zero so its capacity is reused — and with it
+// the boxed output actions still sitting in the slots beyond len(dst): a
+// recycled FlowMod that decodes the same output action as last time
+// (output:controller with its MaxLen, a high port) takes the old box.
 func UnmarshalActionsAppend(dst []Action, buf []byte) ([]Action, error) {
 	actions := dst
 	for len(buf) > 0 {
@@ -232,10 +259,14 @@ func UnmarshalActionsAppend(dst []Action, buf []byte) ([]Action, error) {
 		var a Action
 		switch t {
 		case ActOutput:
-			a = ActionOutput{
+			var stale Action
+			if len(actions) < cap(actions) {
+				stale = actions[:len(actions)+1][len(actions)]
+			}
+			a = boxOutput(ActionOutput{
 				Port:   binary.BigEndian.Uint16(body[0:2]),
 				MaxLen: binary.BigEndian.Uint16(body[2:4]),
-			}
+			}, stale)
 		case ActSetVLANVID:
 			a = ActionSetVLANVID{VID: binary.BigEndian.Uint16(body[0:2])}
 		case ActSetVLANPCP:

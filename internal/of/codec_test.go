@@ -353,6 +353,31 @@ func TestUnsupportedActionDecode(t *testing.T) {
 	}
 }
 
+// TestOutputActionDecodeDoesNotAllocate: decoding into a recycled action
+// slice boxes no output action that is a low port without MaxLen or that
+// repeats what the slot held before; a changed high port still decodes
+// correctly.
+func TestOutputActionDecodeDoesNotAllocate(t *testing.T) {
+	low := MarshalActions([]Action{ActionOutput{Port: 3}})
+	ctrl := MarshalActions([]Action{ActionOutput{Port: PortController, MaxLen: 128}})
+	dst := make([]Action, 0, 1)
+	for name, wire := range map[string][]byte{"low port": low, "repeated output:controller": ctrl} {
+		// The first decode fills the slot the later ones find.
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := UnmarshalActionsAppend(dst[:0], wire); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %.0f allocations per decode, want 0", name, n)
+		}
+	}
+	other := ActionOutput{Port: 0x1234, MaxLen: 7}
+	got, err := UnmarshalActionsAppend(dst[:0], MarshalActions([]Action{other}))
+	if err != nil || len(got) != 1 || got[0] != other {
+		t.Errorf("decode over a stale slot = %v, %v; want [%v]", got, err, other)
+	}
+}
+
 func TestFlowStatsEntriesRoundTrip(t *testing.T) {
 	entries := []FlowStatsEntry{
 		{TableID: 0, Match: sampleMatch(), Priority: 5, Cookie: 9,

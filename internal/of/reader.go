@@ -54,3 +54,18 @@ func (mr *MessageReader) ReadMessage() (Message, error) {
 	}
 	return unmarshal(mr.buf[:length], true)
 }
+
+// FrameBuffered reports whether the next ReadMessage can be served
+// entirely from bytes already read from the stream, i.e. without touching
+// the underlying reader. A connection's framing loop uses it to find the
+// end of a read burst: the messages one read delivered are exhausted when
+// it turns false. The read buffer holds any legal frame (the length field
+// is 16 bits), so a whole buffered frame is always visible here.
+func (mr *MessageReader) FrameBuffered() bool {
+	n := mr.r.Buffered()
+	if n < HeaderLen {
+		return false
+	}
+	hdr, err := mr.r.Peek(4)
+	return err == nil && n >= int(binary.BigEndian.Uint16(hdr[2:4]))
+}

@@ -28,6 +28,27 @@ type Layer interface {
 	FromSwitch(ctx *Context, m of.Message)
 }
 
+// BurstLayer is implemented by layers that amortize work across a burst
+// of controller messages — everything the controller conn's reader decoded
+// from one read (see transport.BurstReader). The session calls
+// EndControllerBurst, top layer first, on the goroutine that delivered the
+// burst, after the last FromController call of the burst returned. Every
+// FromController delivery is followed by one: a controller conn without
+// the burst hook ends a burst after each message, InjectFromController
+// ends one after the injected message, and a layer that forwards held
+// messages toward the switch on its own initiative must end the burst it
+// created itself.
+type BurstLayer interface {
+	EndControllerBurst(ctx *Context)
+}
+
+// BatchLayer is implemented by layers that take a switch→controller batch
+// in one call (see Context.ToControllerBatch); other layers receive the
+// batch message by message through FromSwitch.
+type BatchLayer interface {
+	FromSwitchBatch(ctx *Context, ms []of.Message)
+}
+
 // Pass is a Layer that forwards everything unchanged; embed it to override
 // one direction only.
 type Pass struct{}
@@ -65,10 +86,23 @@ func NewSession(name string, dpid uint64, clk sim.Clock, ctrlConn, swConn transp
 		layers: layers,
 	}
 	s.ctxs = make([]*Context, len(layers))
-	for i := range layers {
+	bursts := false
+	for i, l := range layers {
 		s.ctxs[i] = &Context{s: s, idx: i}
+		if _, ok := l.(BurstLayer); ok {
+			bursts = true
+		}
 	}
-	ctrlConn.SetHandler(func(m of.Message) { s.fromController(0, m) })
+	onCtrl := func(m of.Message) { s.fromController(0, m) }
+	if bursts {
+		if br, ok := ctrlConn.(transport.BurstReader); ok {
+			br.SetBurstEnd(s.endControllerBurst)
+		} else {
+			// No burst hook on this conn: every message is its own burst.
+			onCtrl = s.InjectFromController
+		}
+	}
+	ctrlConn.SetHandler(onCtrl)
 	swConn.SetHandler(func(m of.Message) { s.fromSwitch(len(layers)-1, m) })
 	return s
 }
@@ -100,12 +134,46 @@ func (s *Session) fromSwitch(idx int, m of.Message) {
 	s.layers[idx].FromSwitch(s.ctxs[idx], m)
 }
 
+// fromSwitchBatch delivers a batch to layer idx (toward the controller).
+func (s *Session) fromSwitchBatch(idx int, ms []of.Message) {
+	if idx < 0 {
+		if bs, ok := s.ctConn.(transport.BatchSender); ok {
+			_ = bs.SendBatch(ms)
+			return
+		}
+		for _, m := range ms {
+			_ = s.ctConn.Send(m)
+		}
+		return
+	}
+	if bl, ok := s.layers[idx].(BatchLayer); ok {
+		bl.FromSwitchBatch(s.ctxs[idx], ms)
+		return
+	}
+	for _, m := range ms {
+		s.layers[idx].FromSwitch(s.ctxs[idx], m)
+	}
+}
+
+// endControllerBurst tells every BurstLayer that the burst of controller
+// messages just delivered is complete.
+func (s *Session) endControllerBurst() {
+	for i, l := range s.layers {
+		if bl, ok := l.(BurstLayer); ok {
+			bl.EndControllerBurst(s.ctxs[i])
+		}
+	}
+}
+
 // InjectFromController feeds a message into the top of the layer chain,
-// exactly as if the controller-side conn had delivered it: every layer
-// (barrier buffering, acknowledgment tracking) observes it. Recovery
-// paths use it to re-issue in-flight modifications adopted from a dead
-// proxy without bypassing the acknowledgment machinery.
-func (s *Session) InjectFromController(m of.Message) { s.fromController(0, m) }
+// exactly as if the controller-side conn had delivered it as a burst of
+// one: every layer (barrier buffering, acknowledgment tracking) observes
+// it. Recovery paths use it to re-issue in-flight modifications adopted
+// from a dead proxy without bypassing the acknowledgment machinery.
+func (s *Session) InjectFromController(m of.Message) {
+	s.fromController(0, m)
+	s.endControllerBurst()
+}
 
 // SendToSwitch injects a message below the whole chain, directly to the
 // switch (used for out-of-band traffic such as probe PacketOuts on
@@ -140,6 +208,11 @@ func (c *Context) ToSwitch(m of.Message) { c.s.fromController(c.idx+1, m) }
 
 // ToController continues a message toward the controller from this layer.
 func (c *Context) ToController(m of.Message) { c.s.fromSwitch(c.idx-1, m) }
+
+// ToControllerBatch continues a batch toward the controller from this
+// layer, in order, with the ownership rules of transport.BatchSender: the
+// caller hands ms over unless the controller conn encodes frames.
+func (c *Context) ToControllerBatch(ms []of.Message) { c.s.fromSwitchBatch(c.idx-1, ms) }
 
 // Session returns the owning session.
 func (c *Context) Session() *Session { return c.s }

@@ -123,6 +123,21 @@ type PartialBatchSender interface {
 	SendBatchPartial(ms []of.Message) (int, error)
 }
 
+// BurstReader is implemented by conns whose receive side knows where a
+// read burst ends. A burst is everything one read delivered: over TCP every
+// frame decoded until the framing reader's buffer holds no further whole
+// frame, on a Pipe the messages of one delivery (and of any further
+// deliveries already waiting behind it). Consumers that amortize
+// work across a burst (RUM tracks a burst's FlowMods, then stamps one
+// covering barrier and flushes once) install a callback here; a conn
+// without the hook is treated by its consumer as one burst per message.
+type BurstReader interface {
+	// SetBurstEnd installs fn, which runs on the receive goroutine after
+	// the handler returned for the last message of each burst — including
+	// the backlog SetHandler delivers. Install it before SetHandler.
+	SetBurstEnd(fn func())
+}
+
 // FrameEncoder is implemented by conns that serialize each message into
 // wire bytes while Send/SendBatch runs: once the call returns, the conn
 // holds no reference to the message struct and the caller regains
@@ -155,11 +170,12 @@ type pipeEnd struct {
 	clock   sim.Clock
 	latency time.Duration
 
-	mu      sync.Mutex
-	peer    *pipeEnd
-	handler Handler
-	backlog []of.Message
-	closed  bool
+	mu       sync.Mutex
+	peer     *pipeEnd
+	handler  Handler
+	burstEnd func()
+	backlog  []of.Message
+	closed   bool
 
 	txSeq      uint64                  // next sequence stamp for sends from this end
 	rxNext     uint64                  // next stamp due for delivery at this end
@@ -225,10 +241,21 @@ func (e *pipeEnd) arrive(seq uint64, ms []of.Message) {
 		return
 	}
 	e.delivering = true
+	// endBurst is non-nil while delivered messages await their burst end.
+	// A burst is every delivery found ready back to back: under a wall
+	// clock, arrivals that parked while the handler ran join the burst.
+	var endBurst func()
 	for !e.closed {
 		due, ok := e.rxPend[e.rxNext]
 		if !ok {
-			break
+			if endBurst == nil {
+				break
+			}
+			e.mu.Unlock()
+			endBurst()
+			endBurst = nil
+			e.mu.Lock()
+			continue
 		}
 		delete(e.rxPend, e.rxNext)
 		e.rxNext++
@@ -237,6 +264,7 @@ func (e *pipeEnd) arrive(seq uint64, ms []of.Message) {
 			e.backlog = append(e.backlog, due...)
 			continue
 		}
+		endBurst = e.burstEnd
 		e.mu.Unlock()
 		for _, m := range due {
 			h(m)
@@ -257,11 +285,28 @@ func (e *pipeEnd) arrive(seq uint64, ms []of.Message) {
 func (e *pipeEnd) SetHandler(h Handler) {
 	e.mu.Lock()
 	e.handler = h
-	backlog := e.backlog
+	backlog, burstEnd := e.backlog, e.burstEnd
 	e.backlog = nil
 	e.mu.Unlock()
+	deliverBacklog(h, burstEnd, backlog)
+}
+
+// SetBurstEnd implements BurstReader: a burst is one delivery, or several
+// that were ready back to back.
+func (e *pipeEnd) SetBurstEnd(fn func()) {
+	e.mu.Lock()
+	e.burstEnd = fn
+	e.mu.Unlock()
+}
+
+// deliverBacklog hands messages buffered before the handler existed to it
+// as one burst.
+func deliverBacklog(h Handler, burstEnd func(), backlog []of.Message) {
 	for _, m := range backlog {
 		h(m)
+	}
+	if burstEnd != nil && len(backlog) > 0 {
+		burstEnd()
 	}
 }
 
@@ -310,11 +355,12 @@ type tcpConn struct {
 	// and one Write syscall per frame.
 	sendCh chan of.Message
 
-	mu      sync.Mutex
-	handler Handler
-	backlog []of.Message
-	closed  bool
-	readErr error
+	mu       sync.Mutex
+	handler  Handler
+	burstEnd func()
+	backlog  []of.Message
+	closed   bool
+	readErr  error
 
 	done chan struct{}
 }
@@ -400,12 +446,21 @@ func (c *tcpConn) EncodesFrames() bool { return !c.unbuffered }
 
 func (c *tcpConn) readLoop() {
 	var read func() (of.Message, error)
+	// more reports whether the burst continues: another whole frame is
+	// already buffered. The unbuffered baseline reads frame by frame, so
+	// every message is its own burst.
+	more := func() bool { return false }
 	if c.unbuffered {
 		read = func() (of.Message, error) { return of.ReadMessage(c.nc) }
 	} else {
 		mr := of.NewMessageReader(c.nc)
-		read = mr.ReadMessage
+		read, more = mr.ReadMessage, mr.FrameBuffered
 	}
+	// The handler and the burst-end callback are looked up once per burst,
+	// not once per message; a handler installed mid-burst takes over at the
+	// next one.
+	var h Handler
+	var burstEnd func()
 	for {
 		m, err := read()
 		if err != nil {
@@ -415,15 +470,23 @@ func (c *tcpConn) readLoop() {
 			c.Close()
 			return
 		}
-		c.mu.Lock()
-		h := c.handler
 		if h == nil {
-			c.backlog = append(c.backlog, m)
+			c.mu.Lock()
+			h, burstEnd = c.handler, c.burstEnd
+			if h == nil {
+				c.backlog = append(c.backlog, m)
+				c.mu.Unlock()
+				continue
+			}
 			c.mu.Unlock()
-			continue
 		}
-		c.mu.Unlock()
 		h(m)
+		if !more() {
+			if burstEnd != nil {
+				burstEnd()
+			}
+			h = nil
+		}
 	}
 }
 
@@ -681,12 +744,18 @@ func (c *tcpConn) writeLoopUnbuffered() {
 func (c *tcpConn) SetHandler(h Handler) {
 	c.mu.Lock()
 	c.handler = h
-	backlog := c.backlog
+	backlog, burstEnd := c.backlog, c.burstEnd
 	c.backlog = nil
 	c.mu.Unlock()
-	for _, m := range backlog {
-		h(m)
-	}
+	deliverBacklog(h, burstEnd, backlog)
+}
+
+// SetBurstEnd implements BurstReader: a burst is every frame decoded until
+// the framing reader's buffer holds no further whole frame.
+func (c *tcpConn) SetBurstEnd(fn func()) {
+	c.mu.Lock()
+	c.burstEnd = fn
+	c.mu.Unlock()
 }
 
 func (c *tcpConn) Close() error {

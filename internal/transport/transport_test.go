@@ -398,11 +398,18 @@ func TestTCPWritevRecyclesBuffers(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("received %d/%d frames", n, frames)
 	}
+	// The peer can have every frame before the writer is back from the
+	// writev and has recycled its buffers: wait for that, not for luck.
 	tc := client.(*tcpConn)
-	tc.wmu.Lock()
-	free := len(tc.wfree)
-	tc.wmu.Unlock()
-	if free == 0 {
-		t.Error("no flush buffers recycled after a writev burst; free list defeated")
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		tc.wmu.Lock()
+		free := len(tc.wfree)
+		tc.wmu.Unlock()
+		if free > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no flush buffers recycled after a writev burst; free list defeated")
+		}
 	}
 }
